@@ -480,7 +480,14 @@ ClusterSim::scheduleBacklog(double now)
     size_t deferrals = 0;
     while (!backlog_.empty() && deferrals <= backlog_.size()) {
         const TranscodeStep step = backlog_.front();
-        const ResourceVector need = stepResourceNeed(step, cfg_.mapping);
+        // What assign() will reserve: every fit check below (affinity
+        // set, scheduler pick, shedding) must test this, not the raw
+        // need, or the legacy slot scheduler over-commits a worker.
+        const ResourceVector reservation = scheduler_->reservationFor(
+            stepResourceNeed(step, cfg_.mapping));
+        double service = stepServiceSeconds(step, cfg_.mapping);
+        if (!cfg_.numa_aware)
+            service *= cfg_.numa_penalty_factor;
 
         // Blast-radius reduction: consistent hashing keeps one
         // video's chunks on a small affinity set. A chunk whose set
@@ -499,7 +506,7 @@ ClusterSim::scheduleBacklog(double now)
                     (candidate->vcu() != nullptr &&
                      candidate->vcu()->disabled);
                 set_alive |= !dead;
-                if (candidate->canFit(need)) {
+                if (candidate->canFit(reservation)) {
                     w = candidate;
                     break;
                 }
@@ -519,19 +526,16 @@ ClusterSim::scheduleBacklog(double now)
             // the profiler's own overhead budget.
             prof::ProfScopeSampled prof_index(
                 clusterPhases().dispatch_index, 16);
-            w = scheduler_->pick(need);
+            w = scheduler_->pick(reservation);
         }
         if (w == nullptr && step.hasDeadline() &&
             cfg_.deadline.shed_enabled) {
             // Projected slack if the step started right now. While it
             // is comfortable the step just waits its turn; once it
             // drops under the guard, displace batch work.
-            double service = stepServiceSeconds(step, cfg_.mapping);
-            if (!cfg_.numa_aware)
-                service *= cfg_.numa_penalty_factor;
             const double slack = step.deadline_time - now - service;
             if (slack < cfg_.deadline.slack_guard_seconds)
-                w = shedForDeadline(step, need, now);
+                w = shedForDeadline(step, reservation, now);
         }
         if (w == nullptr)
             break;
@@ -557,11 +561,6 @@ ClusterSim::scheduleBacklog(double now)
         }
 
         backlog_.pop_front();
-        double service = stepServiceSeconds(step, cfg_.mapping);
-        if (!cfg_.numa_aware)
-            service *= cfg_.numa_penalty_factor;
-        const ResourceVector reservation =
-            scheduler_->reservationFor(need);
         w->assign(step, reservation, now, service);
         ++in_flight_count_;
         if (ev_ != nullptr)
@@ -594,7 +593,8 @@ ClusterSim::scheduleBacklog(double now)
 
 Worker *
 ClusterSim::shedForDeadline(const TranscodeStep &step,
-                            const ResourceVector &need, double now)
+                            const ResourceVector &reservation,
+                            double now)
 {
     // Load shedding, two rungs. First park all queued batch work:
     // that frees no resources immediately but stops dispatch from
@@ -628,7 +628,7 @@ ClusterSim::shedForDeadline(const TranscodeStep &step,
             preempt_candidate_flag_[static_cast<size_t>(gid)] = 0;
             continue;
         }
-        if (!w->canFitWithBatchPreempted(need)) {
+        if (!w->canFitWithBatchPreempted(reservation)) {
             preempt_candidates_.push_back(gid);
             continue;
         }
@@ -802,9 +802,9 @@ ClusterSim::sampleTick(double now)
             if (host.vcu_health[v].disabled)
                 continue;
             const Worker *w = host.workers[v].get();
-            enc += w->dimensionUtilization(kResEncodeMillicores);
-            dec += w->dimensionUtilization(kResDecodeMillicores);
-            cpu += w->dimensionUtilization(kResHostCpuMillicores);
+            enc += w->dimensionUtilization(Dim::Encode);
+            dec += w->dimensionUtilization(Dim::Decode);
+            cpu += w->dimensionUtilization(Dim::HostCpu);
             ++n;
         }
     }
@@ -983,7 +983,7 @@ ClusterSim::buildFleetHealth(double now) const
                                            w->refused(),
                                            health.disabled,
                                            health.silent_fault));
-            util += w->dimensionUtilization(kResEncodeMillicores);
+            util += w->dimensionUtilization(Dim::Encode);
         }
         if (!host.workers.empty())
             node.encoder_utilization =

@@ -464,10 +464,11 @@ class ClusterSim
     void scheduleBacklog(double now);
     /** Load shedding for a blocked live step: park queued batch work
      *  and (policy permitting) preempt running batch steps until
-     *  @p need fits somewhere. @return a worker @p need now fits on,
-     *  or nullptr when shedding could not make room. */
+     *  @p reservation fits somewhere. @return a worker it now fits
+     *  on, or nullptr when shedding could not make room. */
     Worker *shedForDeadline(const TranscodeStep &step,
-                            const ResourceVector &need, double now);
+                            const ResourceVector &reservation,
+                            double now);
     /** Return shed steps to the FIFO lane once the live crunch has
      *  passed (EDF lane empty + release_after_seconds of calm). */
     void maybeUnpark(double now);

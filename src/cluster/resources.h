@@ -1,121 +1,129 @@
 /**
  * @file
- * Named scalar resource vectors (Section 3.3.3).
+ * Fixed-shape scalar resource vectors (Section 3.3.3).
  *
- * Each worker type defines its own set of named scalar resource
- * dimensions and a capacity for each — e.g. a VCU worker exposes
- * fractional decode and encode cores (in millicores to avoid
- * fractions), DRAM bytes, fractional host CPU, and *synthetic*
- * resources such as a software-decode allowance used to indirectly
- * bound PCIe bandwidth.
- *
- * Layout: dimension names are interned once into a process-wide id
- * table; each vector stores a small sorted array of (id, amount)
- * pairs inline. At fleet scale every worker holds two of these and
- * every in-flight step a third, and the scheduler compares them on
- * every placement — the previous std::map<std::string, double>
- * backing cost ~1 KB of heap per vector and a string compare per
- * dimension per fits() call. The inline form is allocation-free,
- * copyable with memcpy, and merges id-wise.
+ * The bin-packing scheduler places work against a VCU worker's
+ * scalar resources: fractional decode and encode cores (in
+ * millicores to avoid fractions), DRAM bytes, fractional host CPU,
+ * and the *synthetic* software-decode allowance that bounds PCIe
+ * bandwidth indirectly. Those five are every dimension the paper's
+ * worker type defines and every one this model uses, so a vector is
+ * a plain five-slot array indexed by Dim: fits() is five compares,
+ * copies are trivial, and a dimension a worker does not offer is
+ * simply a zero slot (zero capacity, zero need).
  */
 
 #ifndef WSVA_CLUSTER_RESOURCES_H
 #define WSVA_CLUSTER_RESOURCES_H
 
-#include <cstdint>
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <utility>
-#include <vector>
 
 namespace wsva::cluster {
 
-/** Canonical dimension names used by the VCU worker type. */
-inline constexpr const char *kResDecodeMillicores = "dec_millicores";
-inline constexpr const char *kResEncodeMillicores = "enc_millicores";
-inline constexpr const char *kResDramBytes = "dram_bytes";
-inline constexpr const char *kResHostCpuMillicores = "host_cpu_millicores";
-/** Synthetic: software-decode allowance (bounds PCIe indirectly). */
-inline constexpr const char *kResSwDecodeMillicores = "sw_dec_millicores";
+/** The VCU worker's resource dimensions. */
+enum class Dim
+{
+    Decode,   //!< Hardware decode millicores.
+    Encode,   //!< Hardware encode millicores.
+    Dram,     //!< Device DRAM bytes.
+    HostCpu,  //!< Host CPU millicores.
+    SwDecode, //!< Synthetic: software-decode allowance (millicores).
+};
 
-/**
- * Intern @p name into the process-wide dimension table and return its
- * id. The five canonical VCU dimensions are pre-seeded with stable
- * ids; further names get ids in first-intern order. Thread-safe.
- */
-uint16_t resourceDimId(const std::string &name);
+inline constexpr int kDims = 5;
 
-/** Name for an interned dimension id (stable for process lifetime). */
-const std::string &resourceDimName(uint16_t id);
-
-/**
- * A sparse vector of named scalar resources. Canonical form: entries
- * sorted by dimension id, zero amounts erased — so equality is plain
- * memberwise comparison.
- */
+/** A vector of scalar resources, one slot per Dim (absent = 0). */
 class ResourceVector
 {
   public:
-    /** Distinct dimensions one vector can hold (VCU workers use 5). */
-    static constexpr int kMaxDims = 8;
-
     ResourceVector() = default;
-    ResourceVector(std::initializer_list<std::pair<const std::string,
-                                                   double>> init)
+    ResourceVector(std::initializer_list<std::pair<Dim, double>> init)
     {
-        for (const auto &[name, amount] : init)
-            set(name, amount);
+        for (const auto &[d, amount] : init)
+            set(d, amount);
     }
 
-    /** Amount for a dimension (0 when absent). */
-    double get(const std::string &name) const;
-    double get(uint16_t dim) const;
+    double get(Dim d) const { return v_[idx(d)]; }
+    void set(Dim d, double amount) { v_[idx(d)] = amount; }
 
-    /** Set a dimension (erases it when amount == 0). */
-    void set(const std::string &name, double amount);
-    void set(uint16_t dim, double amount);
+    /** All slots, indexed by Dim. */
+    const std::array<double, kDims> &amounts() const { return v_; }
 
     /** this += other. */
-    void add(const ResourceVector &other);
+    void add(const ResourceVector &other)
+    {
+        for (int i = 0; i < kDims; ++i)
+            v_[i] += other.v_[i];
+    }
 
     /** this -= other (may go negative; callers check fits() first). */
-    void subtract(const ResourceVector &other);
+    void subtract(const ResourceVector &other)
+    {
+        for (int i = 0; i < kDims; ++i)
+            v_[i] -= other.v_[i];
+    }
 
-    /**
-     * True if @p need fits inside this vector: every dimension of
-     * @p need is <= the amount here. Dimensions this vector does not
-     * define are treated as zero capacity.
-     */
-    bool fits(const ResourceVector &need) const;
+    /** Raise each dimension to at least @p other's amount. */
+    void maxWith(const ResourceVector &other)
+    {
+        for (int i = 0; i < kDims; ++i)
+            v_[i] = std::max(v_[i], other.v_[i]);
+    }
+
+    /** True if every dimension of @p need is <= the amount here. */
+    bool fits(const ResourceVector &need) const
+    {
+        for (int i = 0; i < kDims; ++i) {
+            if (need.v_[i] > v_[i] + 1e-9)
+                return false;
+        }
+        return true;
+    }
 
     /** True if all dimensions are >= 0 (sanity checks). */
-    bool nonNegative() const;
+    bool nonNegative() const
+    {
+        for (int i = 0; i < kDims; ++i) {
+            if (v_[i] < -1e-9)
+                return false;
+        }
+        return true;
+    }
 
     /** Fraction of @p capacity in use across its busiest dimension. */
-    double maxUtilizationVs(const ResourceVector &capacity) const;
+    double maxUtilizationVs(const ResourceVector &capacity) const
+    {
+        double worst = 0.0;
+        for (int i = 0; i < kDims; ++i) {
+            if (capacity.v_[i] > 0.0)
+                worst = std::max(worst, v_[i] / capacity.v_[i]);
+        }
+        return worst;
+    }
 
-    bool empty() const { return size_ == 0; }
+    /** True when every dimension is zero. */
+    bool empty() const
+    {
+        for (int i = 0; i < kDims; ++i) {
+            if (v_[i] != 0.0)
+                return false;
+        }
+        return true;
+    }
 
-    /** Number of (non-zero) dimensions stored. */
-    int size() const { return size_; }
-    /** Dimension id of entry @p i (entries are sorted by id). */
-    uint16_t dimId(int i) const { return ids_[i]; }
-    /** Amount of entry @p i. */
-    double amount(int i) const { return amounts_[i]; }
-
-    /** Materialized (name, amount) pairs, sorted by name. */
-    std::vector<std::pair<std::string, double>> dims() const;
-
-    bool operator==(const ResourceVector &other) const;
+    bool operator==(const ResourceVector &other) const
+    {
+        return v_ == other.v_;
+    }
 
   private:
-    int find(uint16_t dim) const;
-    void insertAt(int pos, uint16_t dim, double amount);
-    void eraseAt(int pos);
+    static constexpr size_t idx(Dim d) { return static_cast<size_t>(d); }
 
-    uint8_t size_ = 0;
-    uint16_t ids_[kMaxDims] = {};
-    double amounts_[kMaxDims] = {};
+    std::array<double, kDims> v_{};
 };
 
 } // namespace wsva::cluster

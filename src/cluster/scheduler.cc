@@ -147,37 +147,20 @@ void
 AvailabilityIndex::build(std::vector<Worker *> workers)
 {
     workers_ = std::move(workers);
-
-    // Index every dimension any worker's capacity defines.
-    dims_.clear();
-    for (const Worker *w : workers_) {
-        const ResourceVector &cap = w->capacity();
-        for (int i = 0; i < cap.size(); ++i) {
-            const uint16_t id = cap.dimId(i);
-            auto it = std::lower_bound(dims_.begin(), dims_.end(), id);
-            if (it == dims_.end() || *it != id)
-                dims_.insert(it, id);
-        }
-    }
     WSVA_ASSERT(!workers_.empty(), "availability index over no workers");
-    WSVA_ASSERT(dims_.size() <=
-                    static_cast<size_t>(ResourceVector::kMaxDims),
-                "too many distinct dimensions to index (%zu)",
-                dims_.size());
 
     leaves_ = 1;
     while (leaves_ < workers_.size())
         leaves_ <<= 1;
     // Padding leaves hold -1 so no request ever descends into them.
-    tree_.assign(static_cast<size_t>(2) * leaves_ * dims_.size(), -1.0);
+    tree_.assign(static_cast<size_t>(2) * leaves_ * kDims, -1.0);
     for (size_t pos = 0; pos < workers_.size(); ++pos)
         writeLeaf(static_cast<int>(pos));
-    const size_t stride = dims_.size();
     for (uint32_t node = leaves_ - 1; node >= 1; --node) {
-        double *dst = &tree_[node * stride];
-        const double *left = &tree_[(2 * node) * stride];
-        const double *right = &tree_[(2 * node + 1) * stride];
-        for (size_t d = 0; d < stride; ++d)
+        double *dst = &tree_[node * kDims];
+        const double *left = &tree_[(2 * node) * kDims];
+        const double *right = &tree_[(2 * node + 1) * kDims];
+        for (int d = 0; d < kDims; ++d)
             dst[d] = std::max(left[d], right[d]);
     }
 }
@@ -186,32 +169,28 @@ void
 AvailabilityIndex::writeLeaf(int pos)
 {
     const Worker *w = workers_[pos];
-    const size_t stride = dims_.size();
-    double *leaf = &tree_[(leaves_ + static_cast<uint32_t>(pos)) * stride];
+    double *leaf = &tree_[(leaves_ + static_cast<uint32_t>(pos)) * kDims];
     const bool eligible =
         !w->refused() && !(w->vcu() != nullptr && w->vcu()->disabled);
     if (!eligible) {
-        for (size_t d = 0; d < stride; ++d)
-            leaf[d] = -1.0;
+        std::fill(leaf, leaf + kDims, -1.0);
         return;
     }
-    const ResourceVector &avail = w->available();
-    for (size_t d = 0; d < stride; ++d)
-        leaf[d] = avail.get(dims_[d]);
+    const auto &avail = w->available().amounts();
+    std::copy(avail.begin(), avail.end(), leaf);
 }
 
 void
 AvailabilityIndex::update(int pos)
 {
     writeLeaf(pos);
-    const size_t stride = dims_.size();
     for (uint32_t node = (leaves_ + static_cast<uint32_t>(pos)) / 2;
          node >= 1; node /= 2) {
-        double *dst = &tree_[node * stride];
-        const double *left = &tree_[(2 * node) * stride];
-        const double *right = &tree_[(2 * node + 1) * stride];
+        double *dst = &tree_[node * kDims];
+        const double *left = &tree_[(2 * node) * kDims];
+        const double *right = &tree_[(2 * node + 1) * kDims];
         bool changed = false;
-        for (size_t d = 0; d < stride; ++d) {
+        for (int d = 0; d < kDims; ++d) {
             const double m = std::max(left[d], right[d]);
             if (dst[d] != m) {
                 dst[d] = m;
@@ -224,13 +203,12 @@ AvailabilityIndex::update(int pos)
 }
 
 Worker *
-AvailabilityIndex::descend(uint32_t node, const double *need_amt,
-                           const ResourceVector &need) const
+AvailabilityIndex::descend(uint32_t node, const ResourceVector &need) const
 {
-    const size_t stride = dims_.size();
-    const double *vals = &tree_[node * stride];
-    for (size_t d = 0; d < stride; ++d) {
-        if (need_amt[d] > vals[d] + 1e-9)
+    const auto &want = need.amounts();
+    const double *vals = &tree_[node * kDims];
+    for (int d = 0; d < kDims; ++d) {
+        if (want[d] > vals[d] + 1e-9)
             return nullptr;
     }
     if (node >= leaves_) {
@@ -238,39 +216,24 @@ AvailabilityIndex::descend(uint32_t node, const double *need_amt,
         if (pos >= workers_.size())
             return nullptr;
         Worker *w = workers_[pos];
-        // Exact guard: the subtree max is necessary, not sufficient,
-        // and degenerate requests (no dimensions) prune nothing.
+        // Exact guard: the subtree max is necessary, not sufficient.
         return w->canFit(need) ? w : nullptr;
     }
-    if (Worker *w = descend(2 * node, need_amt, need))
+    if (Worker *w = descend(2 * node, need))
         return w;
-    return descend(2 * node + 1, need_amt, need);
+    return descend(2 * node + 1, need);
 }
 
 Worker *
 AvailabilityIndex::firstFit(const ResourceVector &need) const
 {
-    double need_amt[ResourceVector::kMaxDims] = {};
-    std::fill(need_amt, need_amt + dims_.size(), 0.0);
-    for (int i = 0; i < need.size(); ++i) {
-        const auto it = std::lower_bound(dims_.begin(), dims_.end(),
-                                         need.dimId(i));
-        if (it == dims_.end() || *it != need.dimId(i)) {
-            // No worker capacity defines this dimension at all.
-            if (need.amount(i) > 1e-9)
-                return nullptr;
-            continue;
-        }
-        need_amt[it - dims_.begin()] = need.amount(i);
-    }
-    return descend(1, need_amt, need);
+    return descend(1, need);
 }
 
 size_t
 AvailabilityIndex::capacityBytes() const
 {
     return tree_.capacity() * sizeof(double) +
-           dims_.capacity() * sizeof(uint16_t) +
            workers_.capacity() * sizeof(Worker *);
 }
 
@@ -328,7 +291,7 @@ BinPackScheduler::onWorkerAvailabilityChanged(Worker &worker, int tag)
 }
 
 Worker *
-BinPackScheduler::pick(const ResourceVector &need)
+BinPackScheduler::pick(const ResourceVector &reservation)
 {
     // First fit by worker number against the availability cache
     // (Figure 6: Worker 0 lacks decode resources -> Worker 1 takes
@@ -336,12 +299,12 @@ BinPackScheduler::pick(const ResourceVector &need)
     // candidates). The indexed path returns the identical worker via
     // the segment tree.
     if (indexed_) {
-        Worker *w = index_.firstFit(need);
+        Worker *w = index_.firstFit(reservation);
         recordPick(w != nullptr);
         return w;
     }
     for (Worker *w : workers_) {
-        if (w->canFit(need)) {
+        if (w->canFit(reservation)) {
             recordPick(true);
             return w;
         }
@@ -361,7 +324,7 @@ BinPackScheduler::idleWorkers() const
 
 SlotScheduler::SlotScheduler(std::vector<Worker *> workers,
                              ResourceVector slot_need)
-    : workers_(std::move(workers)), slot_need_(std::move(slot_need))
+    : workers_(std::move(workers)), slot_need_(slot_need)
 {
     std::sort(workers_.begin(), workers_.end(),
               [](const Worker *a, const Worker *b) {
@@ -370,7 +333,7 @@ SlotScheduler::SlotScheduler(std::vector<Worker *> workers,
 }
 
 Worker *
-SlotScheduler::pick(const ResourceVector &need)
+SlotScheduler::pick(const ResourceVector &reservation)
 {
     // The uniform cost model ignores the request's actual shape; it
     // only asks "is a slot free". The physical reservation is the
@@ -378,7 +341,6 @@ SlotScheduler::pick(const ResourceVector &need)
     // (oversized steps still consume what they consume), so that is
     // what must fit — this is exactly the stranding the bin-packing
     // scheduler eliminates.
-    const ResourceVector reservation = reservationFor(need);
     for (Worker *w : workers_) {
         if (w->canFit(reservation)) {
             recordPick(true);
@@ -396,10 +358,7 @@ SlotScheduler::reservationFor(const ResourceVector &need) const
     // big step still physically consumes what it consumes, and the
     // slot accounting wastes the rest.
     ResourceVector reservation = slot_need_;
-    for (const auto &[name, amount] : need.dims()) {
-        if (amount > reservation.get(name))
-            reservation.set(name, amount);
-    }
+    reservation.maxWith(need);
     return reservation;
 }
 

@@ -124,10 +124,11 @@ class Scheduler
     virtual ~Scheduler() = default;
 
     /**
-     * Pick a worker for a step needing @p need. Returns nullptr when
+     * Pick a worker that can hold @p reservation (what
+     * reservationFor() returned for the step). Returns nullptr when
      * nothing fits (caller re-queues).
      */
-    virtual Worker *pick(const ResourceVector &need) = 0;
+    virtual Worker *pick(const ResourceVector &reservation) = 0;
 
     /**
      * Re-evaluate a worker whose fitness changed *outside* its own
@@ -140,8 +141,9 @@ class Scheduler
     /**
      * The resources actually reserved on the worker for a request of
      * @p need: the request itself for the bin-packing scheduler, the
-     * (element-wise max with the) fixed slot bundle for the legacy
-     * scheduler.
+     * element-wise max with the fixed slot bundle for the legacy
+     * scheduler. Every fit check for the request — pick(), affinity
+     * placement, preemption — must test this, not @p need.
      */
     virtual ResourceVector reservationFor(const ResourceVector &need) const;
 
@@ -164,15 +166,15 @@ class Scheduler
 };
 
 /**
- * Segment-tree availability index over a fixed worker set. Interior
- * nodes hold the per-dimension *maximum* available amount across
- * their subtree (ineligible workers — refused or on a disabled VCU —
- * carry -1 in every dimension); a leftmost-first DFS that prunes
- * subtrees whose max cannot satisfy the request yields exactly the
- * first-fit-by-worker-number answer in O(dims x log n) typical, and
- * rejects an unsatisfiable request at the root in O(dims). The
- * linear first-fit scan this replaces is O(n) per placement — the
- * dominant cost at 200k workers.
+ * Segment-tree availability index over a fixed worker set. Each leaf
+ * is a worker's available() array (ineligible workers — refused or
+ * on a disabled VCU — carry -1 in every dimension); interior nodes
+ * hold the per-dimension *maximum* across their subtree. A
+ * leftmost-first DFS that prunes subtrees whose max cannot satisfy
+ * the request yields exactly the first-fit-by-worker-number answer
+ * in O(kDims x log n) typical, and rejects an unsatisfiable request
+ * at the root in O(kDims). The linear first-fit scan this replaces
+ * is O(n) per placement — the dominant cost at 200k workers.
  */
 class AvailabilityIndex
 {
@@ -193,13 +195,11 @@ class AvailabilityIndex
 
   private:
     void writeLeaf(int pos);
-    Worker *descend(uint32_t node, const double *need_amt,
-                    const ResourceVector &need) const;
+    Worker *descend(uint32_t node, const ResourceVector &need) const;
 
     std::vector<Worker *> workers_;
-    std::vector<uint16_t> dims_; //!< Indexed dimension ids, sorted.
-    uint32_t leaves_ = 0;        //!< Worker count padded to 2^k.
-    std::vector<double> tree_;   //!< 2 * leaves_ nodes x dims_ values.
+    uint32_t leaves_ = 0;      //!< Worker count padded to 2^k.
+    std::vector<double> tree_; //!< 2 * leaves_ nodes x kDims values.
 };
 
 /**
@@ -223,7 +223,7 @@ class BinPackScheduler : public Scheduler, private WorkerAvailabilityListener
     explicit BinPackScheduler(std::vector<Worker *> workers);
     ~BinPackScheduler() override;
 
-    Worker *pick(const ResourceVector &need) override;
+    Worker *pick(const ResourceVector &reservation) override;
 
     /** Build the availability index and attach worker listeners. */
     void enableIndex();
@@ -262,7 +262,7 @@ class SlotScheduler : public Scheduler
      */
     SlotScheduler(std::vector<Worker *> workers, ResourceVector slot_need);
 
-    Worker *pick(const ResourceVector &need) override;
+    Worker *pick(const ResourceVector &reservation) override;
     ResourceVector reservationFor(const ResourceVector &need) const override;
 
     const ResourceVector &slotNeed() const { return slot_need_; }

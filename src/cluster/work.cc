@@ -122,21 +122,19 @@ stepResourceNeed(const TranscodeStep &step,
     const double enc_cores = encodeCoresRealtime(step, policy) * speedup;
 
     ResourceVector need;
-    need.set(kResDecodeMillicores,
-             std::ceil(dec_cores * hw_frac * 1000.0));
-    need.set(kResEncodeMillicores, std::ceil(enc_cores * 1000.0));
-    need.set(kResDramBytes,
-             static_cast<double>(stepDramFootprint(step)));
+    need.set(Dim::Decode, std::ceil(dec_cores * hw_frac * 1000.0));
+    need.set(Dim::Encode, std::ceil(enc_cores * 1000.0));
+    need.set(Dim::Dram, static_cast<double>(stepDramFootprint(step)));
     // Host CPU: mux/demux, RPC, audio — small; grows with software
     // decode offload (a software decode costs ~3x a hardware one in
     // host cycles).
     const double host_cores =
         0.05 + dec_cores * policy.software_decode_fraction * 3.0;
-    need.set(kResHostCpuMillicores, std::ceil(host_cores * 1000.0));
+    need.set(Dim::HostCpu, std::ceil(host_cores * 1000.0));
     if (policy.software_decode_fraction > 0.0) {
-        need.set(kResSwDecodeMillicores,
-                 std::ceil(dec_cores * policy.software_decode_fraction *
-                           1000.0));
+        need.set(Dim::SwDecode, std::ceil(dec_cores *
+                                          policy.software_decode_fraction *
+                                          1000.0));
     }
     return need;
 }

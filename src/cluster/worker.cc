@@ -1,6 +1,7 @@
 #include "cluster/worker.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -8,7 +9,7 @@
 namespace wsva::cluster {
 
 Worker::Worker(int id, WorkerType type, ResourceVector capacity)
-    : id_(id), type_(type), capacity_(std::move(capacity)),
+    : id_(id), type_(type), capacity_(capacity),
       available_(capacity_)
 {
 }
@@ -168,7 +169,7 @@ Worker::utilization() const
 }
 
 double
-Worker::dimensionUtilization(const std::string &dim) const
+Worker::dimensionUtilization(Dim dim) const
 {
     const double cap = capacity_.get(dim);
     if (cap <= 0.0)
@@ -183,11 +184,11 @@ vcuWorkerCapacity(uint64_t dram_bytes, double host_cpu_millicores,
     // Section 3.3.3: "each VCU has 3,000 millidecode cores and
     // 10,000 milliencode cores available".
     ResourceVector cap;
-    cap.set(kResDecodeMillicores, 3000);
-    cap.set(kResEncodeMillicores, 10000);
-    cap.set(kResDramBytes, static_cast<double>(dram_bytes));
-    cap.set(kResHostCpuMillicores, host_cpu_millicores);
-    cap.set(kResSwDecodeMillicores, sw_decode_millicores);
+    cap.set(Dim::Decode, 3000);
+    cap.set(Dim::Encode, 10000);
+    cap.set(Dim::Dram, static_cast<double>(dram_bytes));
+    cap.set(Dim::HostCpu, host_cpu_millicores);
+    cap.set(Dim::SwDecode, sw_decode_millicores);
     return cap;
 }
 

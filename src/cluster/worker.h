@@ -221,7 +221,7 @@ class Worker
     double utilization() const;
 
     /** Utilization of one dimension in [0, 1]. */
-    double dimensionUtilization(const std::string &dim) const;
+    double dimensionUtilization(Dim dim) const;
 
   private:
     struct Running

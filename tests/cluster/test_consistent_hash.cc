@@ -203,5 +203,30 @@ TEST(ConsistentHash, ClusterBlastRadiusShrinks)
     EXPECT_LT(hashed, spread);
 }
 
+TEST(ConsistentHash, SlotSchedulerRingPlacementReservesWhatItChecked)
+{
+    // Regression: the affinity-ring path checked the raw step need
+    // but the legacy slot scheduler reserves the (larger) slot
+    // bundle, so once a slot's worth of small steps filled the one
+    // affinity worker, Worker::assign's capacity assertion fired.
+    ClusterConfig cfg;
+    cfg.hosts = 1;
+    cfg.vcus_per_host = 2;
+    cfg.use_binpack = false;
+    cfg.use_consistent_hashing = true;
+    cfg.affinity_set_size = 1;
+    ClusterSim sim(cfg);
+    for (int c = 0; c < 40; ++c) {
+        sim.submit(makeSotStep(static_cast<uint64_t>(c), 1, c, {640, 360},
+                               {426, 240},
+                               wsva::video::codec::CodecType::VP9));
+    }
+    const ClusterMetrics m = sim.run(600.0, 1.0);
+    EXPECT_EQ(m.steps_completed, 40u);
+    EXPECT_TRUE(sim.conservation().holds());
+    // Affinity kept the one video on its one-worker set.
+    EXPECT_EQ(sim.blastRadius().vcusTouching(1), 1u);
+}
+
 } // namespace
 } // namespace wsva::cluster

@@ -38,7 +38,7 @@ class SchedulerTest : public testing::Test
 TEST_F(SchedulerTest, FirstFitByWorkerNumber)
 {
     BinPackScheduler sched(raw_);
-    ResourceVector need{{kResEncodeMillicores, 3750.0}};
+    ResourceVector need{{Dim::Encode, 3750.0}};
     Worker *w = sched.pick(need);
     ASSERT_NE(w, nullptr);
     EXPECT_EQ(w->id(), 0);
@@ -47,12 +47,11 @@ TEST_F(SchedulerTest, FirstFitByWorkerNumber)
 TEST_F(SchedulerTest, SkipsWorkerLackingOneDimension)
 {
     // Paper Figure 6: worker 0 has no decode left -> worker 1 wins.
-    ResourceVector drain_decode{{kResDecodeMillicores, 3000.0}};
+    ResourceVector drain_decode{{Dim::Decode, 3000.0}};
     raw_[0]->assign(step(1), drain_decode, 0.0, 100.0);
 
     BinPackScheduler sched(raw_);
-    ResourceVector need{{kResDecodeMillicores, 500.0},
-                        {kResEncodeMillicores, 3750.0}};
+    ResourceVector need{{Dim::Decode, 500.0}, {Dim::Encode, 3750.0}};
     Worker *w = sched.pick(need);
     ASSERT_NE(w, nullptr);
     EXPECT_EQ(w->id(), 1);
@@ -64,7 +63,7 @@ TEST_F(SchedulerTest, PacksBeforeSpreading)
     // worker 0 until it is full, leaving trailing workers idle as
     // stop candidates.
     BinPackScheduler sched(raw_);
-    ResourceVector need{{kResEncodeMillicores, 2500.0}};
+    ResourceVector need{{Dim::Encode, 2500.0}};
     for (int i = 0; i < 4; ++i) {
         Worker *w = sched.pick(need);
         ASSERT_NE(w, nullptr);
@@ -80,7 +79,7 @@ TEST_F(SchedulerTest, PacksBeforeSpreading)
 TEST_F(SchedulerTest, RejectsWhenNothingFits)
 {
     BinPackScheduler sched(raw_);
-    ResourceVector huge{{kResEncodeMillicores, 50000.0}};
+    ResourceVector huge{{Dim::Encode, 50000.0}};
     EXPECT_EQ(sched.pick(huge), nullptr);
     EXPECT_EQ(sched.stats().rejected, 1u);
 }
@@ -88,7 +87,7 @@ TEST_F(SchedulerTest, RejectsWhenNothingFits)
 TEST_F(SchedulerTest, BinPackReservationEqualsNeed)
 {
     BinPackScheduler sched(raw_);
-    ResourceVector need{{kResEncodeMillicores, 1234.0}};
+    ResourceVector need{{Dim::Encode, 1234.0}};
     EXPECT_EQ(sched.reservationFor(need), need);
 }
 
@@ -96,20 +95,18 @@ TEST_F(SchedulerTest, SlotSchedulerWastesCapacity)
 {
     // Slot sized for a worst-case step: a VCU fits only 2 slots even
     // for tiny requests, while bin packing fits many more.
-    ResourceVector slot{{kResDecodeMillicores, 1000.0},
-                        {kResEncodeMillicores, 5000.0}};
+    ResourceVector slot{{Dim::Decode, 1000.0}, {Dim::Encode, 5000.0}};
     SlotScheduler slots(raw_, slot);
-    ResourceVector tiny{{kResDecodeMillicores, 100.0},
-                        {kResEncodeMillicores, 500.0}};
+    ResourceVector tiny{{Dim::Decode, 100.0}, {Dim::Encode, 500.0}};
+    const ResourceVector reservation = slots.reservationFor(tiny);
 
     int placed_on_w0 = 0;
     for (int i = 0; i < 10; ++i) {
-        Worker *w = slots.pick(tiny);
+        Worker *w = slots.pick(reservation);
         ASSERT_NE(w, nullptr);
         if (w->id() != 0)
             break;
-        w->assign(step(static_cast<uint64_t>(i)),
-                  slots.reservationFor(tiny), 0.0, 100.0);
+        w->assign(step(static_cast<uint64_t>(i)), reservation, 0.0, 100.0);
         ++placed_on_w0;
     }
     EXPECT_EQ(placed_on_w0, 2); // 2 x 5000 enc millicores = full.
@@ -117,13 +114,25 @@ TEST_F(SchedulerTest, SlotSchedulerWastesCapacity)
 
 TEST_F(SchedulerTest, SlotReservationIsElementwiseMax)
 {
-    ResourceVector slot{{kResEncodeMillicores, 5000.0}};
+    // Every dimension independently: the request wins where it is
+    // larger (encode, decode, DRAM), the bundle wins where it is
+    // (host CPU), and a dimension neither names stays zero.
+    ResourceVector slot{{Dim::Encode, 5000.0},
+                        {Dim::Dram, 4e8},
+                        {Dim::HostCpu, 200.0}};
     SlotScheduler slots(raw_, slot);
-    ResourceVector big{{kResEncodeMillicores, 7000.0},
-                       {kResDecodeMillicores, 400.0}};
+    ResourceVector big{{Dim::Encode, 7000.0},
+                       {Dim::Decode, 400.0},
+                       {Dim::Dram, 9e8},
+                       {Dim::HostCpu, 50.0}};
     const auto reservation = slots.reservationFor(big);
-    EXPECT_EQ(reservation.get(kResEncodeMillicores), 7000);
-    EXPECT_EQ(reservation.get(kResDecodeMillicores), 400);
+    EXPECT_EQ(reservation.get(Dim::Encode), 7000);
+    EXPECT_EQ(reservation.get(Dim::Decode), 400);
+    EXPECT_EQ(reservation.get(Dim::Dram), 9e8);
+    EXPECT_EQ(reservation.get(Dim::HostCpu), 200);
+    EXPECT_EQ(reservation.get(Dim::SwDecode), 0);
+    // A request smaller everywhere reserves exactly the bundle.
+    EXPECT_EQ(slots.reservationFor({{Dim::Encode, 10.0}}), slot);
 }
 
 TEST_F(SchedulerTest, DisabledVcuSkipped)
@@ -132,7 +141,7 @@ TEST_F(SchedulerTest, DisabledVcuSkipped)
     dead.disabled = true;
     raw_[0]->bindVcu(&dead);
     BinPackScheduler sched(raw_);
-    ResourceVector need{{kResEncodeMillicores, 1000.0}};
+    ResourceVector need{{Dim::Encode, 1000.0}};
     Worker *w = sched.pick(need);
     ASSERT_NE(w, nullptr);
     EXPECT_EQ(w->id(), 1);
@@ -173,10 +182,9 @@ TEST(AvailabilityIndex, IndexedPicksMatchLinearScanUnderChurn)
         if (kind < 6) {
             // Place a random-shaped request through both schedulers.
             ResourceVector need{
-                {kResEncodeMillicores,
-                 rng.uniformReal(100.0, 9000.0)},
-                {kResDecodeMillicores, rng.uniformReal(0.0, 2800.0)},
-                {kResDramBytes, rng.uniformReal(1e8, 4e9)}};
+                {Dim::Encode, rng.uniformReal(100.0, 9000.0)},
+                {Dim::Decode, rng.uniformReal(0.0, 2800.0)},
+                {Dim::Dram, rng.uniformReal(1e8, 4e9)}};
             Worker *a = indexed_sched.pick(need);
             Worker *b = linear_sched.pick(need);
             if (a == nullptr) {
@@ -237,20 +245,26 @@ TEST(AvailabilityIndex, RootRejectIsCheapAndCorrect)
     std::vector<std::unique_ptr<Worker>> own;
     std::vector<Worker *> raw;
     for (int i = 0; i < 16; ++i) {
-        own.push_back(std::make_unique<Worker>(i, WorkerType::Vcu,
-                                               vcuWorkerCapacity()));
+        // No software-decode allowance anywhere in this fleet.
+        own.push_back(std::make_unique<Worker>(
+            i, WorkerType::Vcu,
+            vcuWorkerCapacity(8ull << 30, 5000, /*sw_decode=*/0)));
         raw.push_back(own[i].get());
     }
     BinPackScheduler sched(raw);
     sched.enableIndex();
-    ResourceVector huge{{kResEncodeMillicores, 50000.0}};
+    ResourceVector huge{{Dim::Encode, 50000.0}};
     EXPECT_EQ(sched.pick(huge), nullptr);
     EXPECT_EQ(sched.stats().rejected, 1u);
     EXPECT_GT(sched.indexBytes(), 0u);
 
-    // A dimension no capacity defines can never fit.
-    ResourceVector exotic{{"exotic_dim", 1.0}};
-    EXPECT_EQ(sched.pick(exotic), nullptr);
+    // A positive need in a dimension where every worker has zero
+    // capacity never fits, however small.
+    ResourceVector sw_decode{{Dim::SwDecode, 1.0}};
+    EXPECT_EQ(sched.pick(sw_decode), nullptr);
+    EXPECT_EQ(sched.stats().rejected, 2u);
+    // The same fleet still places an ordinary request.
+    EXPECT_NE(sched.pick({{Dim::Encode, 1000.0}}), nullptr);
 }
 
 } // namespace

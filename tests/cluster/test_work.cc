@@ -50,10 +50,8 @@ TEST(Work, ResourceNeedScalesWithResolution)
         makeMotStep(2, 10, 0, {3840, 2160}, CodecType::VP9);
     const auto need_s = stepResourceNeed(small, policy);
     const auto need_l = stepResourceNeed(large, policy);
-    EXPECT_GT(need_l.get(kResEncodeMillicores),
-              5.0 * need_s.get(kResEncodeMillicores));
-    EXPECT_GT(need_l.get(kResDecodeMillicores),
-              5.0 * need_s.get(kResDecodeMillicores));
+    EXPECT_GT(need_l.get(Dim::Encode), 5.0 * need_s.get(Dim::Encode));
+    EXPECT_GT(need_l.get(Dim::Decode), 5.0 * need_s.get(Dim::Decode));
 }
 
 TEST(Work, MotNeedFitsOneVcu)
@@ -64,8 +62,8 @@ TEST(Work, MotNeedFitsOneVcu)
     const auto step =
         makeMotStep(1, 10, 0, {3840, 2160}, CodecType::VP9);
     const auto need = stepResourceNeed(step, policy);
-    EXPECT_LE(need.get(kResDecodeMillicores), 3000);
-    EXPECT_LE(need.get(kResEncodeMillicores), 10000);
+    EXPECT_LE(need.get(Dim::Decode), 3000);
+    EXPECT_LE(need.get(Dim::Encode), 10000);
 }
 
 TEST(Work, SoftwareDecodeOffloadShiftsResources)
@@ -77,11 +75,9 @@ TEST(Work, SoftwareDecodeOffloadShiftsResources)
         makeMotStep(1, 10, 0, {1920, 1080}, CodecType::VP9);
     const auto need_hw = stepResourceNeed(step, hw);
     const auto need_off = stepResourceNeed(step, offload);
-    EXPECT_LT(need_off.get(kResDecodeMillicores),
-              need_hw.get(kResDecodeMillicores));
-    EXPECT_GT(need_off.get(kResHostCpuMillicores),
-              need_hw.get(kResHostCpuMillicores));
-    EXPECT_GT(need_off.get(kResSwDecodeMillicores), 0);
+    EXPECT_LT(need_off.get(Dim::Decode), need_hw.get(Dim::Decode));
+    EXPECT_GT(need_off.get(Dim::HostCpu), need_hw.get(Dim::HostCpu));
+    EXPECT_GT(need_off.get(Dim::SwDecode), 0);
 }
 
 TEST(Work, TwoPassNeedsMoreEncode)
@@ -90,10 +86,10 @@ TEST(Work, TwoPassNeedsMoreEncode)
     auto step = makeMotStep(1, 10, 0, {1920, 1080}, CodecType::VP9);
     step.two_pass = false;
     const double single =
-        stepResourceNeed(step, policy).get(kResEncodeMillicores);
+        stepResourceNeed(step, policy).get(Dim::Encode);
     step.two_pass = true;
     const double dual =
-        stepResourceNeed(step, policy).get(kResEncodeMillicores);
+        stepResourceNeed(step, policy).get(Dim::Encode);
     EXPECT_GT(dual, single);
 }
 

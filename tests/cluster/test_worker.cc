@@ -16,22 +16,21 @@ smallStep(uint64_t id)
 ResourceVector
 smallNeed()
 {
-    return ResourceVector{{kResDecodeMillicores, 500.0},
-                          {kResEncodeMillicores, 2000.0}};
+    return ResourceVector{{Dim::Decode, 500.0}, {Dim::Encode, 2000.0}};
 }
 
 TEST(Worker, CapacityMatchesPaperMillicores)
 {
     const auto cap = vcuWorkerCapacity();
-    EXPECT_EQ(cap.get(kResDecodeMillicores), 3000);
-    EXPECT_EQ(cap.get(kResEncodeMillicores), 10000);
+    EXPECT_EQ(cap.get(Dim::Decode), 3000);
+    EXPECT_EQ(cap.get(Dim::Encode), 10000);
 }
 
 TEST(Worker, AssignReservesAndCompletionReleases)
 {
     Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
     w.assign(smallStep(1), smallNeed(), 0.0, 10.0);
-    EXPECT_EQ(w.available().get(kResEncodeMillicores), 8000);
+    EXPECT_EQ(w.available().get(Dim::Encode), 8000);
     EXPECT_EQ(w.runningSteps(), 1u);
 
     auto done = w.collectFinished(9.0);
@@ -40,13 +39,13 @@ TEST(Worker, AssignReservesAndCompletionReleases)
     ASSERT_EQ(done.size(), 1u);
     EXPECT_TRUE(done[0].ok);
     EXPECT_FALSE(done[0].corrupt);
-    EXPECT_EQ(w.available().get(kResEncodeMillicores), 10000);
+    EXPECT_EQ(w.available().get(Dim::Encode), 10000);
 }
 
 TEST(Worker, CanFitChecksAllDimensions)
 {
     Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
-    ResourceVector huge{{kResEncodeMillicores, 10001.0}};
+    ResourceVector huge{{Dim::Encode, 10001.0}};
     EXPECT_FALSE(w.canFit(huge));
     EXPECT_TRUE(w.canFit(smallNeed()));
 }
@@ -149,7 +148,7 @@ TEST(Worker, AbortReturnsStepsAndRequiresScreen)
     EXPECT_EQ(aborted.size(), 2u);
     EXPECT_TRUE(w.idle());
     EXPECT_TRUE(w.needsScreen());
-    EXPECT_EQ(w.available().get(kResEncodeMillicores), 10000);
+    EXPECT_EQ(w.available().get(Dim::Encode), 10000);
 }
 
 TEST(Worker, RefusedWorkerTakesNoWork)
@@ -166,15 +165,14 @@ TEST(Worker, DimensionUtilization)
 {
     Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
     w.assign(smallStep(1), smallNeed(), 0.0, 10.0);
-    EXPECT_DOUBLE_EQ(w.dimensionUtilization(kResEncodeMillicores), 0.2);
-    EXPECT_NEAR(w.dimensionUtilization(kResDecodeMillicores), 500.0 / 3000,
-                1e-12);
+    EXPECT_DOUBLE_EQ(w.dimensionUtilization(Dim::Encode), 0.2);
+    EXPECT_NEAR(w.dimensionUtilization(Dim::Decode), 500.0 / 3000, 1e-12);
 }
 
 TEST(WorkerDeathTest, OverAssignPanics)
 {
     Worker w(0, WorkerType::Vcu, vcuWorkerCapacity());
-    ResourceVector huge{{kResEncodeMillicores, 20000.0}};
+    ResourceVector huge{{Dim::Encode, 20000.0}};
     EXPECT_DEATH(w.assign(smallStep(1), huge, 0.0, 1.0), "capacity");
 }
 

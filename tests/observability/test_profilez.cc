@@ -22,12 +22,14 @@
 #include "common/logging.h"
 #include "common/profiler.h"
 #include "support/http_client.h"
+#include "support/ledger_fingerprint.h"
 #include "support/mini_json.h"
 
 using namespace wsva;
 using namespace wsva::cluster;
 using prof::ProfileRegistry;
 using wsva::testsupport::httpGet;
+using wsva::testsupport::ledgerFingerprint;
 using wsva::testsupport::parseJson;
 
 namespace {
@@ -231,38 +233,6 @@ TEST(Profilez, ScrapeVsRecordHammerWhileSimRuns)
 
     EXPECT_EQ(transport_errors.load(), 0);
     EXPECT_EQ(bad_pages.load(), 0);
-}
-
-/** Ledger fields that must be bit-identical across profiled and
- *  unprofiled runs of the same seeded scenario. */
-std::string
-ledgerFingerprint(const ClusterMetrics &m, const ClusterSim &sim)
-{
-    const ConservationSnapshot c = sim.conservation();
-    return strformat(
-        "submitted=%llu completed=%llu failed=%llu retried=%llu "
-        "corrupt=%llu escaped=%llu shed=%llu preempted=%llu "
-        "placed=%llu rejected=%llu backlog=%zu inflight=%zu "
-        "pixels=%.17g util=%.17g "
-        "c.submitted=%llu c.completed=%llu c.failed=%llu "
-        "c.inflight=%llu c.backlog=%llu c.shed=%llu holds=%d "
-        "trace_events=%llu",
-        (unsigned long long)m.steps_submitted,
-        (unsigned long long)m.steps_completed,
-        (unsigned long long)m.steps_failed,
-        (unsigned long long)m.steps_retried,
-        (unsigned long long)m.corrupt_detected,
-        (unsigned long long)m.corrupt_escaped,
-        (unsigned long long)m.steps_shed,
-        (unsigned long long)m.steps_preempted,
-        (unsigned long long)m.sched_placed,
-        (unsigned long long)m.sched_rejected, m.backlog_remaining,
-        m.steps_in_flight, m.output_pixels, m.encoder_utilization,
-        (unsigned long long)c.submitted, (unsigned long long)c.completed,
-        (unsigned long long)c.failed_terminal,
-        (unsigned long long)c.in_flight, (unsigned long long)c.backlog,
-        (unsigned long long)c.shed, c.holds() ? 1 : 0,
-        (unsigned long long)sim.traceLog().size());
 }
 
 TEST(ProfilerDeterminism, OnOffLeavesLedgerAndRngByteIdentical)
