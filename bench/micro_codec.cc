@@ -79,6 +79,42 @@ BM_TransformQuantizeRoundTrip(benchmark::State &state)
 BENCHMARK(BM_TransformQuantizeRoundTrip);
 
 void
+BM_InverseDct8x8(benchmark::State &state)
+{
+    Rng rng(9);
+    std::array<int32_t, kTxCoeffs> in;
+    for (auto &v : in)
+        v = static_cast<int32_t>(rng.uniformRange(-1024, 1024));
+    ResidualBlock out;
+    for (auto _ : state) {
+        inverseDct(in, out);
+        benchmark::DoNotOptimize(out);
+    }
+}
+BENCHMARK(BM_InverseDct8x8);
+
+/**
+ * Residual reconstruction; arg 1 = dense levels, 0 = an all-zero
+ * block, which skips dequantize and the inverse DCT.
+ */
+void
+BM_ReconstructResidual(benchmark::State &state)
+{
+    Rng rng(10);
+    CoeffBlock levels;
+    for (auto &v : levels)
+        v = state.range(0) != 0
+                ? static_cast<int16_t>(rng.uniformRange(-8, 8))
+                : int16_t{0};
+    ResidualBlock recon;
+    for (auto _ : state) {
+        reconstructResidual(levels, 32, recon);
+        benchmark::DoNotOptimize(recon);
+    }
+}
+BENCHMARK(BM_ReconstructResidual)->Arg(1)->Arg(0);
+
+void
 BM_RangeCoderEncodeBit(benchmark::State &state)
 {
     Rng rng(5);

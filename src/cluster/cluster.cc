@@ -23,6 +23,9 @@ struct ClusterPhases {
     int faults;
     int repairs;
     int publish;
+    int arrivals;
+    int sample;
+    int slo;
 };
 
 const ClusterPhases &
@@ -37,6 +40,9 @@ clusterPhases()
         prof::phaseId("cluster/faults"),
         prof::phaseId("cluster/repairs"),
         prof::phaseId("cluster/publish"),
+        prof::phaseId("cluster/arrivals"),
+        prof::phaseId("cluster/sample"),
+        prof::phaseId("cluster/slo"),
     };
     return p;
 }
@@ -887,8 +893,10 @@ ClusterSim::runTicks(double duration, double dt,
     while (now < start + duration) {
         now += dt;
         clock_ = now;
-        if (arrivals)
+        if (arrivals) {
+            prof::ProfScope prof_arrivals(clusterPhases().arrivals);
             pullArrivals(arrivals, now, dt);
+        }
         {
             prof::ProfScope prof_faults(clusterPhases().faults);
             injectFaults(now, dt);
@@ -903,8 +911,14 @@ ClusterSim::runTicks(double duration, double dt,
         }
         scheduleBacklog(now);
         checkConservation(now);
-        sampleTick(now);
-        slo_.onTick(now);
+        {
+            prof::ProfScope prof_sample(clusterPhases().sample);
+            sampleTick(now);
+        }
+        {
+            prof::ProfScope prof_slo(clusterPhases().slo);
+            slo_.onTick(now);
+        }
         ++ticks_;
         if (cfg_.observability && cfg_.fleet_publish_every_ticks > 0 &&
             ticks_ % cfg_.fleet_publish_every_ticks == 0)

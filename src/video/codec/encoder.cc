@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/profiler.h"
 #include "video/codec/bitstream.h"
 #include "video/codec/entropy.h"
 #include "video/codec/golomb.h"
@@ -133,6 +134,13 @@ class Engine
                      StreamWriter &sw, EncodedChunk &chunk);
     Candidate decideMb(const Frame &src, const Frame &recon, int mbx,
                        int mby, FrameType type, int qp, double lambda);
+    /**
+     * One 8x8 block's residual round trip: forward transform and
+     * quantize, trellis when the tool set has it, then exactly one
+     * reconstruction from the final levels.
+     */
+    void codeResidual(const ResidualBlock &residual, int qp, double lambda,
+                      CoeffBlock &levels, ResidualBlock &recon_residual) const;
     double evalResidual(const uint8_t *src_y, const uint8_t *src_u,
                         const uint8_t *src_v, const uint8_t *pred_y,
                         const uint8_t *pred_u, const uint8_t *pred_v,
@@ -154,6 +162,20 @@ class Engine
     uint64_t frame_counter_ = 0;
     EntropyModel model_;
 };
+
+void
+Engine::codeResidual(const ResidualBlock &residual, int qp, double lambda,
+                     CoeffBlock &levels, ResidualBlock &recon_residual) const
+{
+    static const int kPhase = prof::phaseId("codec/dct_quant");
+    // Sampled: one call per 8x8 block (millions per VOD pass), far
+    // too hot to clock every invocation.
+    prof::ProfScopeSampled prof_scope(kPhase, 16);
+    quantizeResidual(residual, qp, tools_.deadzone, levels);
+    if (tools_.coeff_opt)
+        optimizeCoeffs(levels, qp, lambda);
+    reconstructResidual(levels, qp, recon_residual);
+}
 
 double
 Engine::evalResidual(const uint8_t *src_y, const uint8_t *src_u,
@@ -181,11 +203,7 @@ Engine::evalResidual(const uint8_t *src_y, const uint8_t *src_u,
             }
         }
         auto &levels = cand.coeff_y[static_cast<size_t>(q)];
-        transformQuantize(residual, qp, tools_.deadzone, levels, rres);
-        if (tools_.coeff_opt) {
-            optimizeCoeffs(levels, qp, lambda);
-            reconstructResidual(levels, qp, rres);
-        }
+        codeResidual(residual, qp, lambda, levels, rres);
         for (int r = 0; r < 8; ++r) {
             for (int c = 0; c < 8; ++c) {
                 const int idx = (qy + r) * kMbSize + qx + c;
@@ -210,11 +228,7 @@ Engine::evalResidual(const uint8_t *src_y, const uint8_t *src_u,
         for (int i = 0; i < kHalf * kHalf; ++i)
             residual[static_cast<size_t>(i)] = static_cast<int16_t>(
                 static_cast<int>(src[i]) - pred[i]);
-        transformQuantize(residual, qp, tools_.deadzone, levels, rres);
-        if (tools_.coeff_opt) {
-            optimizeCoeffs(levels, qp, lambda);
-            reconstructResidual(levels, qp, rres);
-        }
+        codeResidual(residual, qp, lambda, levels, rres);
         for (int i = 0; i < kHalf * kHalf; ++i) {
             const int v = pred[i] + rres[static_cast<size_t>(i)];
             recon[static_cast<size_t>(i)] =

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/profiler.h"
 
 namespace wsva::video::codec {
 
@@ -29,6 +28,19 @@ struct DctTables
                     a * std::cos((2 * k + 1) * u * M_PI / (2.0 * kTxSize));
                 basis[u][k] = static_cast<int32_t>(
                     std::lround(v * (1 << kBasisBits)));
+            }
+        }
+        // The partial butterflies fold on these symmetries; lround is
+        // odd-symmetric, so the rounded basis keeps them exactly.
+        for (int u = 0; u < kTxSize; ++u) {
+            const int sign = u % 2 == 0 ? 1 : -1;      // About k = 3.5.
+            const int half_sign = u % 4 == 0 ? 1 : -1; // Even u, k = 1.5.
+            for (int k = 0; k < 4; ++k) {
+                WSVA_ASSERT(basis[u][7 - k] == sign * basis[u][k],
+                            "DCT basis row %d not (anti)symmetric", u);
+                if (u % 2 == 0 && k < 2)
+                    WSVA_ASSERT(basis[u][3 - k] == half_sign * basis[u][k],
+                                "DCT basis row %d not (anti)symmetric", u);
             }
         }
         for (int qp = 0; qp <= kMaxQp; ++qp) {
@@ -57,59 +69,112 @@ qstep(int qp)
     return 0.9 * std::exp2(static_cast<double>(qp) / 8.0);
 }
 
+namespace {
+
+constexpr int kStage1Shift = 6; //!< Headroom shift after the first pass.
+constexpr int kStage2Shift = 2 * kBasisBits - kStage1Shift;
+constexpr int64_t kStage2Round = int64_t{1} << (kStage2Shift - 1);
+
+/**
+ * 8-point forward DCT of x[0], x[s], ..., x[7s]:
+ * out[u] = sum_k basis[u][k] * x[k] by partial butterfly. Even rows
+ * of the basis are symmetric about k = 3.5 and odd rows
+ * antisymmetric, so the sums fold onto e[k] = x[k] + x[7-k] and
+ * o[k] = x[k] - x[7-k]; the even half folds once more about
+ * k = 1.5. Integer addition is exact, so every out[u] is the same
+ * integer the 64-multiply matrix product forms, from 24 multiplies.
+ */
+template <typename Acc, typename T>
+inline void
+forward8(const T *x, int s, Acc out[kTxSize])
+{
+    const auto &g = tables().basis;
+    Acc e[4];
+    Acc o[4];
+    for (int k = 0; k < 4; ++k) {
+        e[k] = static_cast<Acc>(x[k * s]) + x[(7 - k) * s];
+        o[k] = static_cast<Acc>(x[k * s]) - x[(7 - k) * s];
+    }
+    const Acc ee0 = e[0] + e[3];
+    const Acc ee1 = e[1] + e[2];
+    const Acc eo0 = e[0] - e[3];
+    const Acc eo1 = e[1] - e[2];
+    out[0] = g[0][0] * ee0 + g[0][1] * ee1;
+    out[4] = g[4][0] * ee0 + g[4][1] * ee1;
+    out[2] = g[2][0] * eo0 + g[2][1] * eo1;
+    out[6] = g[6][0] * eo0 + g[6][1] * eo1;
+    for (int u = 1; u < kTxSize; u += 2)
+        out[u] = g[u][0] * o[0] + g[u][1] * o[1] + g[u][2] * o[2] +
+                 g[u][3] * o[3];
+}
+
+/**
+ * 8-point inverse DCT of x[0], x[s], ..., x[7s]:
+ * out[k] = sum_u basis[u][k] * x[u], the transpose of forward8's
+ * butterfly (even and odd partial sums, then out[k] = E + O and
+ * out[7-k] = E - O). int64 throughout: see the bounds in transform.h.
+ */
+inline void
+inverse8(const int32_t *x, int s, int64_t out[kTxSize])
+{
+    const auto &g = tables().basis;
+    int64_t o[4];
+    for (int k = 0; k < 4; ++k)
+        o[k] = int64_t{g[1][k]} * x[s] + int64_t{g[3][k]} * x[3 * s] +
+               int64_t{g[5][k]} * x[5 * s] + int64_t{g[7][k]} * x[7 * s];
+    const int64_t eo0 =
+        int64_t{g[2][0]} * x[2 * s] + int64_t{g[6][0]} * x[6 * s];
+    const int64_t eo1 =
+        int64_t{g[2][1]} * x[2 * s] + int64_t{g[6][1]} * x[6 * s];
+    const int64_t ee0 = int64_t{g[0][0]} * x[0] + int64_t{g[4][0]} * x[4 * s];
+    const int64_t ee1 = int64_t{g[0][1]} * x[0] + int64_t{g[4][1]} * x[4 * s];
+    const int64_t e[4] = {ee0 + eo0, ee1 + eo1, ee1 - eo1, ee0 - eo0};
+    for (int k = 0; k < 4; ++k) {
+        out[k] = e[k] + o[k];
+        out[7 - k] = e[k] - o[k];
+    }
+}
+
+} // namespace
+
 void
 forwardDct(const ResidualBlock &in, std::array<int32_t, kTxCoeffs> &out)
 {
-    const auto &t = tables();
-    // Stage 1: rows transformed by basis^T -> tmp[u][col].
+    // Pass 1 down each column into tmp[u][col]; int32 suffices here.
     int32_t tmp[kTxSize][kTxSize];
-    for (int u = 0; u < kTxSize; ++u) {
-        for (int col = 0; col < kTxSize; ++col) {
-            int64_t acc = 0;
-            for (int k = 0; k < kTxSize; ++k)
-                acc += static_cast<int64_t>(t.basis[u][k]) *
-                       in[static_cast<size_t>(k * kTxSize + col)];
-            // Keep stage-1 results at basis scale but bounded.
-            tmp[u][col] = static_cast<int32_t>(acc >> 6);
-        }
+    for (int col = 0; col < kTxSize; ++col) {
+        int32_t f[kTxSize];
+        forward8(in.data() + col, kTxSize, f);
+        for (int u = 0; u < kTxSize; ++u)
+            tmp[u][col] = f[u] >> kStage1Shift;
     }
-    // Stage 2: columns; final shift removes both basis scales.
-    constexpr int shift = 2 * kBasisBits - 6;
-    constexpr int64_t round = 1LL << (shift - 1);
+    // Pass 2 along each row; the shift removes both basis scales.
     for (int u = 0; u < kTxSize; ++u) {
-        for (int v = 0; v < kTxSize; ++v) {
-            int64_t acc = 0;
-            for (int k = 0; k < kTxSize; ++k)
-                acc += static_cast<int64_t>(t.basis[v][k]) * tmp[u][k];
+        int64_t f[kTxSize];
+        forward8(tmp[u], 1, f);
+        for (int v = 0; v < kTxSize; ++v)
             out[static_cast<size_t>(u * kTxSize + v)] =
-                static_cast<int32_t>((acc + round) >> shift);
-        }
+                static_cast<int32_t>((f[v] + kStage2Round) >> kStage2Shift);
     }
 }
 
 void
 inverseDct(const std::array<int32_t, kTxCoeffs> &in, ResidualBlock &out)
 {
-    const auto &t = tables();
+    // Pass 1 down each column into tmp[k][v].
     int32_t tmp[kTxSize][kTxSize];
-    // Stage 1: x[k][v] = sum_u basis[u][k] * X[u][v].
-    for (int k = 0; k < kTxSize; ++k) {
-        for (int v = 0; v < kTxSize; ++v) {
-            int64_t acc = 0;
-            for (int u = 0; u < kTxSize; ++u)
-                acc += static_cast<int64_t>(t.basis[u][k]) *
-                       in[static_cast<size_t>(u * kTxSize + v)];
-            tmp[k][v] = static_cast<int32_t>(acc >> 6);
-        }
+    for (int v = 0; v < kTxSize; ++v) {
+        int64_t x[kTxSize];
+        inverse8(in.data() + v, kTxSize, x);
+        for (int k = 0; k < kTxSize; ++k)
+            tmp[k][v] = static_cast<int32_t>(x[k] >> kStage1Shift);
     }
-    constexpr int shift = 2 * kBasisBits - 6;
-    constexpr int64_t round = 1LL << (shift - 1);
     for (int k = 0; k < kTxSize; ++k) {
+        int64_t x[kTxSize];
+        inverse8(tmp[k], 1, x);
         for (int l = 0; l < kTxSize; ++l) {
-            int64_t acc = 0;
-            for (int v = 0; v < kTxSize; ++v)
-                acc += static_cast<int64_t>(t.basis[v][l]) * tmp[k][v];
-            const auto value = static_cast<int32_t>((acc + round) >> shift);
+            const auto value =
+                static_cast<int32_t>((x[l] + kStage2Round) >> kStage2Shift);
             out[static_cast<size_t>(k * kTxSize + l)] =
                 static_cast<int16_t>(std::clamp(value, -32768, 32767));
         }
@@ -169,20 +234,24 @@ zigzagOrder()
 }
 
 int
-transformQuantize(const ResidualBlock &residual, int qp, double deadzone,
-                  CoeffBlock &levels, ResidualBlock &recon_residual)
+quantizeResidual(const ResidualBlock &residual, int qp, double deadzone,
+                 CoeffBlock &levels)
 {
-    static const int kPhase = prof::phaseId("codec/dct_quant");
-    // Sampled: one call per 4x4 block (hundreds of thousands per
-    // clip), far too hot to clock every invocation.
-    prof::ProfScopeSampled prof_scope(kPhase, 16);
     std::array<int32_t, kTxCoeffs> freq;
     forwardDct(residual, freq);
     quantize(freq, qp, deadzone, levels);
-    reconstructResidual(levels, qp, recon_residual);
     int nonzero = 0;
     for (auto l : levels)
         nonzero += l != 0;
+    return nonzero;
+}
+
+int
+transformQuantize(const ResidualBlock &residual, int qp, double deadzone,
+                  CoeffBlock &levels, ResidualBlock &recon_residual)
+{
+    const int nonzero = quantizeResidual(residual, qp, deadzone, levels);
+    reconstructResidual(levels, qp, recon_residual);
     return nonzero;
 }
 
@@ -190,6 +259,14 @@ void
 reconstructResidual(const CoeffBlock &levels, int qp,
                     ResidualBlock &recon_residual)
 {
+    // All-zero blocks (common at coarse quantizers and on flat or
+    // well-predicted content) invert to zeros exactly: the rounding
+    // offset stays below the shift.
+    if (std::all_of(levels.begin(), levels.end(),
+                    [](int16_t l) { return l == 0; })) {
+        recon_residual.fill(0);
+        return;
+    }
     std::array<int32_t, kTxCoeffs> freq;
     dequantize(levels, qp, freq);
     inverseDct(freq, recon_residual);

@@ -7,6 +7,30 @@
  * reconstruction path and the decoder use the identical inverse.
  * Quantization uses a dead-zone uniform quantizer with a 64-step
  * exponential step-size table (qp in [0, 63]).
+ *
+ * Both directions run as two separable 8-point passes (columns, a
+ * >> 6 headroom shift, then rows with a rounded >> 20), each pass a
+ * partial butterfly: even basis rows are symmetric and odd rows
+ * antisymmetric about the block centre (the rounded table keeps this
+ * exactly, since lround is odd-symmetric; asserted when the tables
+ * are built), so each 8-point sum folds onto x[k] +- x[7-k] and the
+ * even half folds once more. That forms the same integer sums as the
+ * plain matrix product with 24 multiplies per 8 outputs instead of
+ * 64, so the output is identical, not approximated.
+ *
+ * Accumulator bounds (|basis| sums to <= 23170 along any row or
+ * column):
+ *  - forward pass 1: |residual| <= 32768 gives |sum| <= 7.6e8, so it
+ *    runs in int32;
+ *  - forward pass 2 takes |tmp| <= 1.2e7 to sums of ~2.8e11, and the
+ *    inverse takes coefficients up to 32768 x dequant(63) = 6.9e6 to
+ *    ~1.6e11 in pass 1, so both run in int64. Pass 1 of the inverse
+ *    stores (sum >> 6) as int32, which wraps for the most extreme
+ *    coefficient blocks exactly as the matrix form does.
+ *
+ * reconstructResidual() writes zeros without dequantizing or
+ * inverting when every level is zero, which is exact: an all-zero
+ * block inverts to zero. Encoder and decoder share that path.
  */
 
 #ifndef WSVA_VIDEO_CODEC_TRANSFORM_H
@@ -49,14 +73,26 @@ void dequantize(const CoeffBlock &levels, int qp,
 const std::array<int, kTxCoeffs> &zigzagOrder();
 
 /**
- * Full residual coding round trip used by both mode decision and the
- * final encode: transform, quantize, and reconstruct the residual.
+ * Forward half of residual coding: transform and quantize.
+ * @return Number of nonzero levels.
+ */
+int quantizeResidual(const ResidualBlock &residual, int qp, double deadzone,
+                     CoeffBlock &levels);
+
+/**
+ * Full residual coding round trip: quantizeResidual() followed by
+ * reconstructResidual(). (The encoder runs the two halves itself so
+ * that coefficient optimization can sit between them.)
  * @return Number of nonzero levels.
  */
 int transformQuantize(const ResidualBlock &residual, int qp, double deadzone,
                       CoeffBlock &levels, ResidualBlock &recon_residual);
 
-/** Decoder-side reconstruction of a residual from levels. */
+/**
+ * Reconstruction of a residual from levels (decoder, and the
+ * encoder's reconstruction loop). All-zero blocks skip straight to
+ * zeros.
+ */
 void reconstructResidual(const CoeffBlock &levels, int qp,
                          ResidualBlock &recon_residual);
 

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -17,6 +19,245 @@ randomResidual(wsva::Rng &rng, int amplitude)
     for (auto &v : r)
         v = static_cast<int16_t>(rng.uniformRange(-amplitude, amplitude));
     return r;
+}
+
+using Freq = std::array<int32_t, kTxCoeffs>;
+
+/**
+ * Reference 8x8 DCT: the plain 13-bit fixed-point matrix products the
+ * butterfly kernels replace, with int64 accumulators and the same
+ * >> 6 headroom shift after the first pass and rounded >> 20 after
+ * the second. The kernels must match it bit for bit.
+ */
+struct ReferenceDct
+{
+    int32_t basis[kTxSize][kTxSize];
+
+    ReferenceDct()
+    {
+        for (int u = 0; u < kTxSize; ++u) {
+            const double a = u == 0 ? std::sqrt(1.0 / kTxSize)
+                                    : std::sqrt(2.0 / kTxSize);
+            for (int k = 0; k < kTxSize; ++k)
+                basis[u][k] = static_cast<int32_t>(std::lround(
+                    a * std::cos((2 * k + 1) * u * M_PI / (2.0 * kTxSize)) *
+                    8192));
+        }
+    }
+
+    void forward(const ResidualBlock &in, Freq &out) const
+    {
+        int32_t tmp[kTxSize][kTxSize];
+        for (int u = 0; u < kTxSize; ++u)
+            for (int col = 0; col < kTxSize; ++col) {
+                int64_t acc = 0;
+                for (int k = 0; k < kTxSize; ++k)
+                    acc += int64_t{basis[u][k]} *
+                           in[static_cast<size_t>(k * kTxSize + col)];
+                tmp[u][col] = static_cast<int32_t>(acc >> 6);
+            }
+        for (int u = 0; u < kTxSize; ++u)
+            for (int v = 0; v < kTxSize; ++v) {
+                int64_t acc = 0;
+                for (int k = 0; k < kTxSize; ++k)
+                    acc += int64_t{basis[v][k]} * tmp[u][k];
+                out[static_cast<size_t>(u * kTxSize + v)] =
+                    static_cast<int32_t>((acc + (1 << 19)) >> 20);
+            }
+    }
+
+    void inverse(const Freq &in, ResidualBlock &out) const
+    {
+        int32_t tmp[kTxSize][kTxSize];
+        for (int k = 0; k < kTxSize; ++k)
+            for (int v = 0; v < kTxSize; ++v) {
+                int64_t acc = 0;
+                for (int u = 0; u < kTxSize; ++u)
+                    acc += int64_t{basis[u][k]} *
+                           in[static_cast<size_t>(u * kTxSize + v)];
+                tmp[k][v] = static_cast<int32_t>(acc >> 6);
+            }
+        for (int k = 0; k < kTxSize; ++k)
+            for (int l = 0; l < kTxSize; ++l) {
+                int64_t acc = 0;
+                for (int v = 0; v < kTxSize; ++v)
+                    acc += int64_t{basis[v][l]} * tmp[k][v];
+                const auto value =
+                    static_cast<int32_t>((acc + (1 << 19)) >> 20);
+                out[static_cast<size_t>(k * kTxSize + l)] =
+                    static_cast<int16_t>(std::clamp(value, -32768, 32767));
+            }
+    }
+};
+
+const ReferenceDct &
+reference()
+{
+    static const ReferenceDct r;
+    return r;
+}
+
+void
+expectForwardMatchesReference(const ResidualBlock &in, const char *what)
+{
+    Freq got;
+    Freq want;
+    forwardDct(in, got);
+    reference().forward(in, want);
+    for (size_t i = 0; i < kTxCoeffs; ++i)
+        ASSERT_EQ(got[i], want[i]) << what << " coeff " << i;
+}
+
+void
+expectInverseMatchesReference(const Freq &in, const char *what)
+{
+    ResidualBlock got;
+    ResidualBlock want;
+    inverseDct(in, got);
+    reference().inverse(in, want);
+    for (size_t i = 0; i < kTxCoeffs; ++i)
+        ASSERT_EQ(got[i], want[i]) << what << " sample " << i;
+}
+
+/**
+ * Extreme blocks built from a sign pattern: all +, all -, a
+ * checkerboard, alternating rows, alternating columns, and signs
+ * matching each basis function's (the worst case for its sum).
+ */
+std::vector<std::array<int, kTxCoeffs>>
+extremeSignPatterns()
+{
+    std::vector<std::array<int, kTxCoeffs>> out;
+    auto add = [&out](auto sign_of) {
+        std::array<int, kTxCoeffs> p{};
+        for (int r = 0; r < kTxSize; ++r)
+            for (int c = 0; c < kTxSize; ++c)
+                p[static_cast<size_t>(r * kTxSize + c)] = sign_of(r, c);
+        out.push_back(p);
+        for (auto &v : p)
+            v = -v;
+        out.push_back(p);
+    };
+    add([](int, int) { return 1; });
+    add([](int r, int c) { return (r + c) % 2 == 0 ? 1 : -1; });
+    add([](int r, int) { return r % 2 == 0 ? 1 : -1; });
+    add([](int, int c) { return c % 2 == 0 ? 1 : -1; });
+    for (int u = 0; u < kTxSize; ++u)
+        for (int v = 0; v < kTxSize; ++v)
+            add([u, v](int r, int c) {
+                const double b =
+                    std::cos((2 * r + 1) * u * M_PI / 16.0) *
+                    std::cos((2 * c + 1) * v * M_PI / 16.0);
+                return b >= 0 ? 1 : -1;
+            });
+    return out;
+}
+
+TEST(DctDifferential, ForwardMatchesMatrixReferenceOnRandomBlocks)
+{
+    wsva::Rng rng(31);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const int amplitude = trial % 4 == 0 ? 32767 : 255;
+        expectForwardMatchesReference(randomResidual(rng, amplitude),
+                                      "random");
+    }
+}
+
+TEST(DctDifferential, InverseMatchesMatrixReferenceOnRandomBlocks)
+{
+    wsva::Rng rng(32);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const int amplitude = trial % 4 == 0 ? 1 << 22 : 4096;
+        Freq in;
+        for (auto &v : in)
+            v = static_cast<int32_t>(
+                rng.uniformRange(-amplitude, amplitude));
+        expectInverseMatchesReference(in, "random");
+    }
+}
+
+TEST(DctDifferential, ForwardMatchesAtFullResidualRange)
+{
+    // |residual| at the int16 limits is what bounds the int32
+    // first-pass accumulator.
+    for (int magnitude : {32767, 32768}) {
+        for (const auto &signs : extremeSignPatterns()) {
+            ResidualBlock in;
+            for (size_t i = 0; i < kTxCoeffs; ++i)
+                in[i] = static_cast<int16_t>(
+                    std::clamp(signs[i] * magnitude, -32768, 32767));
+            expectForwardMatchesReference(in, "extreme");
+        }
+    }
+}
+
+TEST(DctDifferential, InverseMatchesAtFullCoefficientRange)
+{
+    // The largest coefficients dequantize() can produce: +-32767 (and
+    // the int16 minimum a bitstream can carry) times the qp-63 step.
+    CoeffBlock ones;
+    ones.fill(1);
+    Freq step;
+    dequantize(ones, kMaxQp, step);
+    for (int level : {32767, 32768}) {
+        const int64_t magnitude = int64_t{level} * step[0];
+        for (const auto &signs : extremeSignPatterns()) {
+            Freq in;
+            for (size_t i = 0; i < kTxCoeffs; ++i)
+                in[i] = static_cast<int32_t>(signs[i] * magnitude);
+            expectInverseMatchesReference(in, "extreme");
+        }
+    }
+}
+
+TEST(DctDifferential, RoundTripMatchesReferenceThroughQuantizer)
+{
+    wsva::Rng rng(33);
+    for (int qp = 0; qp <= kMaxQp; ++qp) {
+        const ResidualBlock in = randomResidual(rng, 255);
+        Freq freq;
+        reference().forward(in, freq);
+        CoeffBlock want_levels;
+        quantize(freq, qp, 0.33, want_levels);
+        Freq deq;
+        dequantize(want_levels, qp, deq);
+        ResidualBlock want_recon;
+        reference().inverse(deq, want_recon);
+
+        CoeffBlock levels;
+        ResidualBlock recon;
+        transformQuantize(in, qp, 0.33, levels, recon);
+        ASSERT_EQ(levels, want_levels) << "qp " << qp;
+        ASSERT_EQ(recon, want_recon) << "qp " << qp;
+    }
+}
+
+TEST(Reconstruct, AllZeroLevelsGiveZeroResidual)
+{
+    CoeffBlock zero;
+    zero.fill(0);
+    for (int qp : {0, 32, kMaxQp}) {
+        ResidualBlock recon;
+        recon.fill(77); // Must be overwritten, not left alone.
+        reconstructResidual(zero, qp, recon);
+        for (auto v : recon)
+            ASSERT_EQ(v, 0) << "qp " << qp;
+    }
+}
+
+TEST(Reconstruct, SingleNonzeroLevelIsNotSkipped)
+{
+    CoeffBlock levels;
+    levels.fill(0);
+    levels[63] = 1;
+    ResidualBlock recon;
+    reconstructResidual(levels, kMaxQp, recon);
+    Freq deq;
+    dequantize(levels, kMaxQp, deq);
+    ResidualBlock want;
+    reference().inverse(deq, want);
+    EXPECT_EQ(recon, want);
+    EXPECT_NE(std::count(recon.begin(), recon.end(), 0), kTxCoeffs);
 }
 
 TEST(Dct, DcOfFlatBlock)

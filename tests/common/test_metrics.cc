@@ -326,19 +326,28 @@ TEST(Prometheus, ScrapeWhileRecordingHammer)
     // safely. TSan certifies the absence of data races.
     MetricsRegistry m;
     std::atomic<bool> done{false};
+    // Set once a counter exists, so the scraper never asserts on a
+    // registry no worker has recorded into yet.
+    std::atomic<bool> recorded{false};
     std::vector<std::thread> workers;
     for (int t = 0; t < 3; ++t) {
-        workers.emplace_back([&m, t] {
+        workers.emplace_back([&m, &recorded, t] {
             for (int i = 0; i < 4000; ++i) {
                 m.inc("hammer.counter");
+                if (i == 0)
+                    recorded.store(true, std::memory_order_release);
                 m.setGauge("hammer.gauge", static_cast<double>(i));
                 m.observe("hammer.hist", static_cast<double>(i % 100),
                           0.0, 100.0, 10);
             }
         });
     }
-    std::thread scraper([&m, &done] {
+    std::thread scraper([&m, &done, &recorded] {
         while (!done.load(std::memory_order_acquire)) {
+            if (!recorded.load(std::memory_order_acquire)) {
+                std::this_thread::yield();
+                continue;
+            }
             const std::string text = m.toPrometheusText();
             EXPECT_NE(text.find("hammer_counter"), std::string::npos);
         }
