@@ -47,6 +47,28 @@ BM_BlockSad16(benchmark::State &state)
 }
 BENCHMARK(BM_BlockSad16);
 
+/**
+ * SAD of a cached 16x16 block against a reference block; arg 0 =
+ * interior, 1 = reaching 4 samples past the left and top frame edges
+ * of a plain plane (the per-sample clamped path), 2 = the same
+ * position on a reference with a replicated border (the row path).
+ */
+void
+BM_SadAgainstBlock16(benchmark::State &state)
+{
+    const Plane cur = randomPlane(16, 16, 13);
+    const Plane ref = randomPlane(128, 128, 14);
+    PaddedPlane padded;
+    padded.assign(ref, kRefBorder);
+    const RefView view = state.range(0) == 2 ? padded.view() : RefView(ref);
+    const int pos = state.range(0) == 0 ? 48 : -4;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(sadAgainstBlock(
+            cur.data().data(), view, pos, pos, 16, UINT32_MAX));
+    }
+}
+BENCHMARK(BM_SadAgainstBlock16)->Arg(0)->Arg(1)->Arg(2);
+
 void
 BM_ForwardDct8x8(benchmark::State &state)
 {
@@ -77,6 +99,22 @@ BM_TransformQuantizeRoundTrip(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TransformQuantizeRoundTrip);
+
+/** Forward half of the residual round trip: DCT, quantize, count. */
+void
+BM_QuantizeResidual(benchmark::State &state)
+{
+    Rng rng(15);
+    ResidualBlock in;
+    for (auto &v : in)
+        v = static_cast<int16_t>(rng.uniformRange(-64, 64));
+    CoeffBlock levels;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(quantizeResidual(in, 32, 0.33, levels));
+        benchmark::DoNotOptimize(levels);
+    }
+}
+BENCHMARK(BM_QuantizeResidual);
 
 void
 BM_InverseDct8x8(benchmark::State &state)
@@ -132,17 +170,26 @@ BM_RangeCoderEncodeBit(benchmark::State &state)
 }
 BENCHMARK(BM_RangeCoderEncodeBit);
 
+/**
+ * 16x16 2-D half-pel prediction; the args place the block as in
+ * BM_SadAgainstBlock16 (0 interior, 1 past the edges of a plain
+ * plane, 2 the same on a bordered reference).
+ */
 void
 BM_MotionCompensateHalfPel(benchmark::State &state)
 {
     const Plane ref = randomPlane(128, 128, 6);
+    PaddedPlane padded;
+    padded.assign(ref, kRefBorder);
+    const RefView view = state.range(0) == 2 ? padded.view() : RefView(ref);
+    const int pos = state.range(0) == 0 ? 48 : -4;
     uint8_t out[16 * 16];
     for (auto _ : state) {
-        motionCompensate(ref, 48, 48, 16, Mv{7, 5}, out);
+        motionCompensate(view, pos, pos, 16, Mv{7, 5}, out);
         benchmark::DoNotOptimize(out);
     }
 }
-BENCHMARK(BM_MotionCompensateHalfPel);
+BENCHMARK(BM_MotionCompensateHalfPel)->Arg(0)->Arg(1)->Arg(2);
 
 void
 BM_MotionSearch(benchmark::State &state)

@@ -45,8 +45,9 @@ class DecoderEngine
           mb_cols_(pw_ / kMbSize), mb_rows_(ph_ / kMbSize),
           grid_(static_cast<size_t>(mb_cols_ * mb_rows_))
     {
+        const Frame grey(pw_, ph_, 128);
         for (auto &r : refs_)
-            r = Frame(pw_, ph_, 128);
+            r.assign(grey);
     }
 
     /** Decode one frame record; returns false on corrupt payload. */
@@ -64,7 +65,7 @@ class DecoderEngine
     int mb_cols_;
     int mb_rows_;
     std::vector<MbNeighbor> grid_;
-    std::array<Frame, kNumRefSlots> refs_;
+    std::array<RefFrame, kNumRefSlots> refs_;
     EntropyModel model_;
 };
 
@@ -257,12 +258,7 @@ DecoderEngine::decodeFrame(const FrameHeader &hdr,
     if (seq_.codec == CodecType::VP9)
         model_.adapt();
 
-    if (hdr.update_last)
-        refs_[kRefLast] = recon;
-    if (hdr.update_golden)
-        refs_[kRefGolden] = recon;
-    if (hdr.update_altref)
-        refs_[kRefAltRef] = recon;
+    updateReferences(hdr, recon, refs_);
 
     if (hdr.show)
         output.push_back(cropFrame(recon, seq_.width, seq_.height));

@@ -121,8 +121,9 @@ class Engine
           mb_cols_(pw_ / kMbSize), mb_rows_(ph_ / kMbSize),
           grid_(static_cast<size_t>(mb_cols_ * mb_rows_))
     {
+        const Frame grey(pw_, ph_, 128);
         for (auto &r : refs_)
-            r = Frame(pw_, ph_, 128);
+            r.assign(grey);
         ref_gen_.fill(0);
     }
 
@@ -157,7 +158,7 @@ class Engine
     int mb_cols_;
     int mb_rows_;
     std::vector<MbNeighbor> grid_;
-    std::array<Frame, kNumRefSlots> refs_;
+    std::array<RefFrame, kNumRefSlots> refs_;
     std::array<uint64_t, kNumRefSlots> ref_gen_;
     uint64_t frame_counter_ = 0;
     EntropyModel model_;
@@ -344,10 +345,9 @@ Engine::decideMb(const Frame &src, const Frame &recon, int mbx, int mby,
             continue;
         auto &rs = searches[static_cast<size_t>(slot)];
         rs.slot = slot;
-        rs.result = searchMotion(src.y(),
-                                 refs_[static_cast<size_t>(slot)].y(), x, y,
-                                 kMbSize, mvp, tools_.search_range,
-                                 tools_.search_kind);
+        rs.result = searchMotion(
+            src.y(), refs_[static_cast<size_t>(slot)].y.view(), x, y,
+            kMbSize, mvp, tools_.search_range, tools_.search_kind);
         rs.valid = true;
         ++distinct;
     }
@@ -437,7 +437,7 @@ Engine::decideMb(const Frame &src, const Frame &recon, int mbx, int mby,
             const int qx = (q % 2) * 8;
             const int qy = (q / 2) * 8;
             const MotionResult mr = searchMotion(
-                src.y(), refs_[static_cast<size_t>(slot)].y(), x + qx,
+                src.y(), refs_[static_cast<size_t>(slot)].y.view(), x + qx,
                 y + qy, 8, mvp, tools_.search_range, tools_.search_kind);
             cand.mv[static_cast<size_t>(q)] = mr.mv;
             cand.ref[static_cast<size_t>(q)] = slot;
@@ -575,18 +575,13 @@ Engine::encodeFrame(const Frame &display_src, int display_idx,
     sw.addFrame(hdr, payload);
 
     ++frame_counter_;
-    if (hdr.update_last) {
-        refs_[kRefLast] = recon;
+    updateReferences(hdr, recon, refs_);
+    if (hdr.update_last)
         ref_gen_[kRefLast] = frame_counter_;
-    }
-    if (hdr.update_golden) {
-        refs_[kRefGolden] = recon;
+    if (hdr.update_golden)
         ref_gen_[kRefGolden] = frame_counter_;
-    }
-    if (hdr.update_altref) {
-        refs_[kRefAltRef] = recon;
+    if (hdr.update_altref)
         ref_gen_[kRefAltRef] = frame_counter_;
-    }
 
     const uint64_t bits = (payload.size() + 6) * 8;
     rc_.onFrameEncoded(display_idx, type, qp, static_cast<double>(bits));

@@ -64,27 +64,27 @@ chromaMv(Mv luma_mv)
 }
 
 void
-buildInterPrediction(const std::array<Frame, kNumRefSlots> &refs,
+buildInterPrediction(const std::array<RefFrame, kNumRefSlots> &refs,
                      const Mv *mvs, const int *ref_idx, bool split,
                      bool compound, int ref2, Mv mv2, int x, int y,
                      uint8_t *pred_y, uint8_t *pred_u, uint8_t *pred_v)
 {
     constexpr int kHalf = kMbSize / 2;
     if (!split) {
-        const Frame &ref = refs[static_cast<size_t>(ref_idx[0])];
-        motionCompensate(ref.y(), x, y, kMbSize, mvs[0], pred_y);
+        const RefFrame &ref = refs[static_cast<size_t>(ref_idx[0])];
+        motionCompensate(ref.y.view(), x, y, kMbSize, mvs[0], pred_y);
         const Mv cmv = chromaMv(mvs[0]);
-        motionCompensate(ref.u(), x / 2, y / 2, kHalf, cmv, pred_u);
-        motionCompensate(ref.v(), x / 2, y / 2, kHalf, cmv, pred_v);
+        motionCompensate(ref.u.view(), x / 2, y / 2, kHalf, cmv, pred_u);
+        motionCompensate(ref.v.view(), x / 2, y / 2, kHalf, cmv, pred_v);
         if (compound) {
-            const Frame &r2 = refs[static_cast<size_t>(ref2)];
+            const RefFrame &r2 = refs[static_cast<size_t>(ref2)];
             uint8_t alt_y[kMbSize * kMbSize];
             uint8_t alt_u[kHalf * kHalf];
             uint8_t alt_v[kHalf * kHalf];
-            motionCompensate(r2.y(), x, y, kMbSize, mv2, alt_y);
+            motionCompensate(r2.y.view(), x, y, kMbSize, mv2, alt_y);
             const Mv cmv2 = chromaMv(mv2);
-            motionCompensate(r2.u(), x / 2, y / 2, kHalf, cmv2, alt_u);
-            motionCompensate(r2.v(), x / 2, y / 2, kHalf, cmv2, alt_v);
+            motionCompensate(r2.u.view(), x / 2, y / 2, kHalf, cmv2, alt_u);
+            motionCompensate(r2.v.view(), x / 2, y / 2, kHalf, cmv2, alt_v);
             for (int i = 0; i < kMbSize * kMbSize; ++i)
                 pred_y[i] =
                     static_cast<uint8_t>((pred_y[i] + alt_y[i] + 1) >> 1);
@@ -104,25 +104,47 @@ buildInterPrediction(const std::array<Frame, kNumRefSlots> &refs,
     for (int q = 0; q < 4; ++q) {
         const int qx = (q % 2) * 8;
         const int qy = (q / 2) * 8;
-        const Frame &ref = refs[static_cast<size_t>(ref_idx[q])];
-        motionCompensate(ref.y(), x + qx, y + qy, 8, mvs[q], part);
+        const RefFrame &ref = refs[static_cast<size_t>(ref_idx[q])];
+        motionCompensate(ref.y.view(), x + qx, y + qy, 8, mvs[q], part);
         for (int r = 0; r < 8; ++r) {
             for (int c = 0; c < 8; ++c)
                 pred_y[(qy + r) * kMbSize + qx + c] = part[r * 8 + c];
         }
         const Mv cmv = chromaMv(mvs[q]);
         uint8_t cpart[4 * 4];
-        motionCompensate(ref.u(), x / 2 + qx / 2, y / 2 + qy / 2, 4, cmv,
+        motionCompensate(ref.u.view(), x / 2 + qx / 2, y / 2 + qy / 2, 4, cmv,
                          cpart);
         for (int r = 0; r < 4; ++r)
             for (int c = 0; c < 4; ++c)
                 pred_u[(qy / 2 + r) * kHalf + qx / 2 + c] = cpart[r * 4 + c];
-        motionCompensate(ref.v(), x / 2 + qx / 2, y / 2 + qy / 2, 4, cmv,
+        motionCompensate(ref.v.view(), x / 2 + qx / 2, y / 2 + qy / 2, 4, cmv,
                          cpart);
         for (int r = 0; r < 4; ++r)
             for (int c = 0; c < 4; ++c)
                 pred_v[(qy / 2 + r) * kHalf + qx / 2 + c] = cpart[r * 4 + c];
     }
+}
+
+void
+updateReferences(const FrameHeader &hdr, const Frame &recon,
+                 std::array<RefFrame, kNumRefSlots> &refs)
+{
+    // A key frame updates all three slots: pad once, then copy.
+    const RefFrame *padded = nullptr;
+    auto update = [&](int slot) {
+        RefFrame &r = refs[static_cast<size_t>(slot)];
+        if (padded)
+            r = *padded;
+        else
+            r.assign(recon);
+        padded = &r;
+    };
+    if (hdr.update_last)
+        update(kRefLast);
+    if (hdr.update_golden)
+        update(kRefGolden);
+    if (hdr.update_altref)
+        update(kRefAltRef);
 }
 
 void

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "video/codec/bitstream.h"
 #include "video/codec/entropy.h"
 #include "video/codec/mc.h"
 #include "video/codec/transform.h"
@@ -50,7 +51,7 @@ Mv chromaMv(Mv luma_mv);
 /**
  * Assemble the full inter prediction of a macroblock.
  *
- * @param refs Reference frames indexed by RefSlot.
+ * @param refs Reference frames (with borders) indexed by RefSlot.
  * @param mvs Per-partition MVs: one entry when @p split is false,
  *        four (raster order of 8x8 quadrants) when true.
  * @param ref_idx Per-partition reference slots (same arity as mvs).
@@ -59,10 +60,17 @@ Mv chromaMv(Mv luma_mv);
  * @param x,y Luma position of the macroblock.
  * @param pred_y 256-sample output; @p pred_u, @p pred_v 64 samples.
  */
-void buildInterPrediction(const std::array<Frame, kNumRefSlots> &refs,
+void buildInterPrediction(const std::array<RefFrame, kNumRefSlots> &refs,
                           const Mv *mvs, const int *ref_idx, bool split,
                           bool compound, int ref2, Mv mv2, int x, int y,
                           uint8_t *pred_y, uint8_t *pred_u, uint8_t *pred_v);
+
+/**
+ * Store @p recon in every reference slot @p hdr updates, borders
+ * included (built once per update).
+ */
+void updateReferences(const FrameHeader &hdr, const Frame &recon,
+                      std::array<RefFrame, kNumRefSlots> &refs);
 
 /** Serialize one 8x8 coefficient block (cbf + zigzag EOB/sig/level). */
 void writeCoeffBlock(SyntaxWriter &writer, const CoeffBlock &levels);

@@ -33,7 +33,7 @@ struct Candidate
  * >= @p bound, so strict less-than acceptance is unaffected.
  */
 uint32_t
-integerCost(const uint8_t *cur, const Plane &ref, int x, int y, int n,
+integerCost(const uint8_t *cur, const RefView &ref, int x, int y, int n,
             int dx, int dy, Mv pred, uint32_t bias, uint32_t bound)
 {
     const Mv mv{static_cast<int16_t>(dx * 2), static_cast<int16_t>(dy * 2)};
@@ -49,7 +49,7 @@ constexpr uint32_t kNoBound = UINT32_MAX;
 } // namespace
 
 MotionResult
-searchMotion(const Plane &src, const Plane &ref, int x, int y, int n,
+searchMotion(const Plane &src, const RefView &ref, int x, int y, int n,
              Mv pred, int range, SearchKind kind, uint32_t mv_cost_bias)
 {
     // Per-macroblock phase timer: SAD + refinement dominate encode

@@ -42,7 +42,7 @@ enum class SearchKind {
  * @param mv_cost_bias Added cost per MV-difference unit (favors MVs
  *        near the predictor; keeps the MV field coherent).
  */
-MotionResult searchMotion(const Plane &src, const Plane &ref, int x, int y,
+MotionResult searchMotion(const Plane &src, const RefView &ref, int x, int y,
                           int n, Mv pred, int range, SearchKind kind,
                           uint32_t mv_cost_bias = 2);
 

@@ -4,20 +4,14 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "video/codec/simd.h"
 
 namespace wsva::video::codec {
 
 namespace {
 
-constexpr int kBasisBits = 13; //!< Fixed-point scale of the DCT basis.
-
-/** Integer DCT-II basis matrix, scaled by 2^kBasisBits. */
-struct DctTables
+struct DctTables : ResidualTables
 {
-    int32_t basis[kTxSize][kTxSize];
-    int32_t dequant[kMaxQp + 1];
-    int64_t quant_scale[kMaxQp + 1]; //!< round(2^20 / dequant).
-
     DctTables()
     {
         for (int u = 0; u < kTxSize; ++u) {
@@ -53,14 +47,14 @@ struct DctTables
     }
 };
 
-const DctTables &
-tables()
+} // namespace
+
+const ResidualTables &
+residualTables()
 {
     static const DctTables t;
     return t;
 }
-
-} // namespace
 
 double
 qstep(int qp)
@@ -70,10 +64,6 @@ qstep(int qp)
 }
 
 namespace {
-
-constexpr int kStage1Shift = 6; //!< Headroom shift after the first pass.
-constexpr int kStage2Shift = 2 * kBasisBits - kStage1Shift;
-constexpr int64_t kStage2Round = int64_t{1} << (kStage2Shift - 1);
 
 /**
  * 8-point forward DCT of x[0], x[s], ..., x[7s]:
@@ -88,7 +78,7 @@ template <typename Acc, typename T>
 inline void
 forward8(const T *x, int s, Acc out[kTxSize])
 {
-    const auto &g = tables().basis;
+    const auto &g = residualTables().basis;
     Acc e[4];
     Acc o[4];
     for (int k = 0; k < 4; ++k) {
@@ -117,7 +107,7 @@ forward8(const T *x, int s, Acc out[kTxSize])
 inline void
 inverse8(const int32_t *x, int s, int64_t out[kTxSize])
 {
-    const auto &g = tables().basis;
+    const auto &g = residualTables().basis;
     int64_t o[4];
     for (int k = 0; k < 4; ++k)
         o[k] = int64_t{g[1][k]} * x[s] + int64_t{g[3][k]} * x[3 * s] +
@@ -185,7 +175,7 @@ void
 quantize(const std::array<int32_t, kTxCoeffs> &coeffs, int qp,
          double deadzone, CoeffBlock &out)
 {
-    const auto &t = tables();
+    const auto &t = residualTables();
     const int64_t scale = t.quant_scale[qp];
     const auto offset = static_cast<int64_t>(deadzone * (1 << 20));
     for (size_t i = 0; i < kTxCoeffs; ++i) {
@@ -202,7 +192,7 @@ void
 dequantize(const CoeffBlock &levels, int qp,
            std::array<int32_t, kTxCoeffs> &out)
 {
-    const auto &t = tables();
+    const auto &t = residualTables();
     const int32_t dq = t.dequant[qp];
     for (size_t i = 0; i < kTxCoeffs; ++i)
         out[i] = static_cast<int32_t>(levels[i]) * dq;
@@ -233,6 +223,8 @@ zigzagOrder()
     return order;
 }
 
+namespace scalar {
+
 int
 quantizeResidual(const ResidualBlock &residual, int qp, double deadzone,
                  CoeffBlock &levels)
@@ -243,15 +235,6 @@ quantizeResidual(const ResidualBlock &residual, int qp, double deadzone,
     int nonzero = 0;
     for (auto l : levels)
         nonzero += l != 0;
-    return nonzero;
-}
-
-int
-transformQuantize(const ResidualBlock &residual, int qp, double deadzone,
-                  CoeffBlock &levels, ResidualBlock &recon_residual)
-{
-    const int nonzero = quantizeResidual(residual, qp, deadzone, levels);
-    reconstructResidual(levels, qp, recon_residual);
     return nonzero;
 }
 
@@ -270,6 +253,41 @@ reconstructResidual(const CoeffBlock &levels, int qp,
     std::array<int32_t, kTxCoeffs> freq;
     dequantize(levels, qp, freq);
     inverseDct(freq, recon_residual);
+}
+
+} // namespace scalar
+
+int
+quantizeResidual(const ResidualBlock &residual, int qp, double deadzone,
+                 CoeffBlock &levels)
+{
+#if WSVA_CODEC_X86
+    if (x86::hasAvx2())
+        return x86::quantizeResidualAvx2(residual, qp, deadzone, levels);
+#endif
+    return scalar::quantizeResidual(residual, qp, deadzone, levels);
+}
+
+int
+transformQuantize(const ResidualBlock &residual, int qp, double deadzone,
+                  CoeffBlock &levels, ResidualBlock &recon_residual)
+{
+    const int nonzero = quantizeResidual(residual, qp, deadzone, levels);
+    reconstructResidual(levels, qp, recon_residual);
+    return nonzero;
+}
+
+void
+reconstructResidual(const CoeffBlock &levels, int qp,
+                    ResidualBlock &recon_residual)
+{
+#if WSVA_CODEC_X86
+    if (x86::hasAvx2()) {
+        x86::reconstructResidualAvx2(levels, qp, recon_residual);
+        return;
+    }
+#endif
+    scalar::reconstructResidual(levels, qp, recon_residual);
 }
 
 } // namespace wsva::video::codec

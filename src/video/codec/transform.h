@@ -31,6 +31,16 @@
  * reconstructResidual() writes zeros without dequantizing or
  * inverting when every level is zero, which is exact: an all-zero
  * block inverts to zero. Encoder and decoder share that path.
+ *
+ * Dispatch: quantizeResidual() and reconstructResidual() run the AVX2
+ * kernels (transform_avx2.cc) when the CPU has AVX2, chosen once by
+ * __builtin_cpu_supports, and the scalar ones (simd.h) otherwise. The
+ * AVX2 forward pass 1 uses int32 lanes like the scalar code; its
+ * forward pass 2 and both inverse passes form int64 products with
+ * _mm256_mul_epi32 on the even and odd lanes, so every sum above
+ * equals the scalar int64 sum for every int16 input and the output is
+ * the same bit for bit. forwardDct(), inverseDct(), quantize() and
+ * dequantize() stay scalar.
  */
 
 #ifndef WSVA_VIDEO_CODEC_TRANSFORM_H

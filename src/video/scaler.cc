@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/profiler.h"
@@ -10,30 +11,52 @@ namespace wsva::video {
 
 namespace {
 
-/** Area-average downscale of one plane. */
+/** Source span [begin, end) that one destination sample averages. */
+struct Span
+{
+    int begin;
+    int end;
+};
+
+/** The spans of all @p dst samples along an axis of @p src samples. */
+std::vector<Span>
+boxSpans(int src, int dst)
+{
+    const double s = static_cast<double>(src) / dst;
+    std::vector<Span> spans(static_cast<size_t>(dst));
+    for (int i = 0; i < dst; ++i) {
+        const int begin = static_cast<int>(std::floor(i * s));
+        const int end =
+            std::max(begin + 1, static_cast<int>(std::ceil((i + 1) * s)));
+        spans[static_cast<size_t>(i)] = {begin, std::min(end, src)};
+    }
+    return spans;
+}
+
+/**
+ * Area-average downscale of one plane. The column spans are computed
+ * once per plane, not once per pixel.
+ */
 Plane
 boxDownscale(const Plane &src, int dw, int dh)
 {
     Plane dst(dw, dh);
-    const double sx = static_cast<double>(src.width()) / dw;
-    const double sy = static_cast<double>(src.height()) / dh;
+    const std::vector<Span> cols = boxSpans(src.width(), dw);
+    const std::vector<Span> rows = boxSpans(src.height(), dh);
     for (int y = 0; y < dh; ++y) {
-        const int y0 = static_cast<int>(std::floor(y * sy));
-        const int y1 = std::max(y0 + 1,
-            static_cast<int>(std::ceil((y + 1) * sy)));
+        const Span ys = rows[static_cast<size_t>(y)];
+        uint8_t *out = dst.row(y);
         for (int x = 0; x < dw; ++x) {
-            const int x0 = static_cast<int>(std::floor(x * sx));
-            const int x1 = std::max(x0 + 1,
-                static_cast<int>(std::ceil((x + 1) * sx)));
+            const Span xs = cols[static_cast<size_t>(x)];
             uint32_t acc = 0;
-            uint32_t n = 0;
-            for (int yy = y0; yy < y1 && yy < src.height(); ++yy) {
-                for (int xx = x0; xx < x1 && xx < src.width(); ++xx) {
-                    acc += src.at(xx, yy);
-                    ++n;
-                }
+            for (int yy = ys.begin; yy < ys.end; ++yy) {
+                const uint8_t *in = src.row(yy);
+                for (int xx = xs.begin; xx < xs.end; ++xx)
+                    acc += in[xx];
             }
-            dst.at(x, y) = static_cast<uint8_t>((acc + n / 2) / n);
+            const auto n = static_cast<uint32_t>((ys.end - ys.begin) *
+                                                 (xs.end - xs.begin));
+            out[x] = static_cast<uint8_t>((acc + n / 2) / n);
         }
     }
     return dst;

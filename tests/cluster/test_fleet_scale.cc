@@ -319,15 +319,17 @@ TEST(FleetScale, ScrapesRaceTheEventLoopSafely)
 
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> scrapes{0};
+    // do-while: a scraper thread that only starts after a fast run
+    // has finished still scrapes the published board once.
     std::thread scraper([&] {
-        while (!stop.load(std::memory_order_acquire)) {
+        do {
             const auto snap = sim.fleetHealth().snapshot();
             if (snap != nullptr) {
                 volatile size_t sink = snap->toText().size();
                 (void)sink;
                 scrapes.fetch_add(1, std::memory_order_relaxed);
             }
-        }
+        } while (!stop.load(std::memory_order_acquire));
     });
     const auto m = sim.run(600.0, 1.0, steadyArrivals(4));
     stop.store(true, std::memory_order_release);

@@ -72,5 +72,43 @@ TEST(Vbench, EntropySpreadMatchesSuiteDesign)
     EXPECT_GT(hard, 2 * easy);
 }
 
+/** FNV-1a over every plane of every frame. */
+uint64_t
+fingerprint(const std::vector<wsva::video::Frame> &frames)
+{
+    uint64_t h = 1469598103934665603ULL;
+    for (const auto &f : frames) {
+        for (int p = 0; p < 3; ++p) {
+            for (uint8_t b : f.plane(p).data()) {
+                h ^= b;
+                h *= 1099511628211ULL;
+            }
+        }
+    }
+    return h;
+}
+
+TEST(Vbench, SeededClipsArePinned)
+{
+    // Every seeded output downstream (bitstreams, PSNR, benchmark
+    // fingerprints) starts from these clips, so they must not depend on
+    // the compiler's ISA flags: a build that lets floating-point
+    // multiply-adds fuse (-march=native on an FMA host) without
+    // -ffp-contract=off changes them; bike and chicken are two clips
+    // whose content it changes.
+    const auto corpus = vbenchCorpus(256, 4);
+    const std::pair<const char *, uint64_t> pinned[] = {
+        {"presentation", 0x72a0e38d2d432753ULL},
+        {"bike", 0x8a944dfdec2080c2ULL},
+        {"chicken", 0xaf7646870afaea6bULL},
+    };
+    for (const auto &[name, want] : pinned) {
+        const auto frames =
+            wsva::video::generateVideo(vbenchClip(corpus, name).spec);
+        EXPECT_EQ(fingerprint(frames), want)
+            << name << " 0x" << std::hex << fingerprint(frames);
+    }
+}
+
 } // namespace
 } // namespace wsva::workload
