@@ -156,6 +156,22 @@ sadAgainstBlock(const uint8_t *cur, const RefView &ref, int rx, int ry,
     return acc;
 }
 
+} // namespace scalar
+
+uint64_t
+blockSse(const uint8_t *a, const uint8_t *b, int n)
+{
+    uint64_t acc = 0;
+    const int count = n * n;
+    for (int i = 0; i < count; ++i) {
+        const int d = int(a[i]) - int(b[i]);
+        acc += static_cast<uint64_t>(d * d);
+    }
+    return acc;
+}
+
+namespace scalar {
+
 uint32_t
 sadAt(const Plane &src, const RefView &ref, int x, int y, int n, int dx,
       int dy)
@@ -487,18 +503,6 @@ sadAgainstBlock(const uint8_t *cur, const RefView &ref, int rx, int ry,
         return sadRows(cur, n, ref.row(ry) + rx, ref.stride(), n, bound);
 #endif
     return scalar::sadAgainstBlock(cur, ref, rx, ry, n, bound);
-}
-
-uint64_t
-blockSse(const uint8_t *a, const uint8_t *b, int n)
-{
-    uint64_t acc = 0;
-    const int count = n * n;
-    for (int i = 0; i < count; ++i) {
-        const int d = int(a[i]) - int(b[i]);
-        acc += static_cast<uint64_t>(d * d);
-    }
-    return acc;
 }
 
 uint32_t

@@ -25,6 +25,8 @@
 
 #if WSVA_CODEC_X86
 
+#include "common/logging.h"
+
 #include <immintrin.h>
 
 #include <bit>
@@ -238,18 +240,9 @@ quantizeResidualAvx2(const ResidualBlock &residual, int qp, double deadzone,
 
     const auto offset = static_cast<int64_t>(deadzone * (1 << 20));
     // Levels then stay in [0, 2^21) before the clamp, so their low 32
-    // bits are the scalar int64 levels; other deadzones go scalar.
-    if (offset < 0 || offset >= (int64_t{1} << 40)) {
-        std::array<int32_t, kTxCoeffs> freq;
-        for (int u = 0; u < 8; ++u)
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i *>(freq.data() + 8 * u), rows[u]);
-        quantize(freq, qp, deadzone, levels);
-        int nonzero = 0;
-        for (auto l : levels)
-            nonzero += l != 0;
-        return nonzero;
-    }
+    // bits are the scalar int64 levels.
+    WSVA_ASSERT(offset >= 0 && offset < (int64_t{1} << 40),
+                "deadzone %g out of range", deadzone);
 
     // |coeff| <= 2.7e5 and scale <= 2^20, so mag * scale fits int64
     // and mag fits mul_epi32's signed low dword.

@@ -318,19 +318,23 @@ TEST(FleetScale, ScrapesRaceTheEventLoopSafely)
     ClusterSim sim(cfg);
 
     std::atomic<bool> stop{false};
+    std::atomic<bool> started{false};
     std::atomic<uint64_t> scrapes{0};
-    // do-while: a scraper thread that only starts after a fast run
-    // has finished still scrapes the published board once.
     std::thread scraper([&] {
-        do {
+        started.store(true, std::memory_order_release);
+        while (!stop.load(std::memory_order_acquire)) {
             const auto snap = sim.fleetHealth().snapshot();
             if (snap != nullptr) {
                 volatile size_t sink = snap->toText().size();
                 (void)sink;
                 scrapes.fetch_add(1, std::memory_order_relaxed);
             }
-        } while (!stop.load(std::memory_order_acquire));
+        }
     });
+    // The run lasts milliseconds: start it only once the scraper is
+    // in its loop, so scrapes overlap the event loop.
+    while (!started.load(std::memory_order_acquire))
+        std::this_thread::yield();
     const auto m = sim.run(600.0, 1.0, steadyArrivals(4));
     stop.store(true, std::memory_order_release);
     scraper.join();

@@ -132,12 +132,12 @@ TEST_F(ResidualAvx2, QuantizeMatchesScalarAtInt16Extremes)
                 expectQuantizeMatches(in, qp, 0.33);
 }
 
-TEST_F(ResidualAvx2, QuantizeMatchesScalarAtAnyDeadzone)
+TEST_F(ResidualAvx2, QuantizeMatchesScalarAcrossDeadzones)
 {
-    // Deadzones outside [0, 0.5) take the scalar quantizer inside the
-    // AVX2 kernel; the results must still agree.
+    // The AVX2 kernel takes any deadzone in [0, 2^20), beyond the
+    // encoder's [0, 0.5).
     wsva::Rng rng(72);
-    for (double deadzone : {0.0, 0.1, 0.4999, 0.75, 1.5, -0.25, 1e7}) {
+    for (double deadzone : {0.0, 0.1, 0.4999, 0.75, 1.5}) {
         for (int qp : {0, 1, 20, 40, kMaxQp}) {
             for (int trial = 0; trial < 20; ++trial)
                 expectQuantizeMatches(randomResidual(rng, 32768), qp,
